@@ -20,7 +20,7 @@ def describe(label, ring, alpha_max=0.1):
     for a, t in curve.samples:
         slope = "" if a == 0.0 else f"{t / a:10.1f}"
         print(f"  {a:>12.4f} {t:>12.4f} {slope:>10}")
-    print(f"  K_origin     = {curve.K_origin:9.2f} N*mm/rad  (Richardson, alpha -> 0)")
+    print(f"  K_origin     = {curve.K_origin:9.2f} N*mm/rad  (exact, alpha -> 0)")
     print(f"  K_secant(+)  = {curve.K_secant_pos:9.2f} N*mm/rad  at +{alpha_max}")
     print(f"  K_secant(-)  = {curve.K_secant_neg:9.2f} N*mm/rad  at -{alpha_max}")
     gap = (curve.K_secant_pos - curve.K_secant_neg) / curve.K_origin

@@ -53,7 +53,7 @@ from .stiffness import (
     stiffness_engineering,
     stiffness_from_integral,
 )
-from .torque import TorqueCurve, delta_length, richardson_extrapolate, torque_curve, torque_full
+from .torque import TorqueCurve, delta_length, torque_curve, torque_full
 
 __all__ = [
     "DegenerateFitError",
@@ -83,7 +83,6 @@ __all__ = [
     "integrate",
     "oracle_torque",
     "rho_of_theta",
-    "richardson_extrapolate",
     "run_doe",
     "section_integral",
     "stiffness_circular",

@@ -31,6 +31,7 @@ from .doe import (
     DEFAULT_RW_RATIOS,
     DEFAULT_X_VALUES,
     DoeTable,
+    _fmt,
     fit_surrogate,
     run_doe,
 )
@@ -63,10 +64,6 @@ _SCHEMES = {
     "adaptive-simpson": QuadratureScheme.ADAPTIVE_SIMPSON,
     "gauss-legendre": QuadratureScheme.GAUSS_LEGENDRE_COMPOSITE,
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _jnum(x: float) -> float:
@@ -271,7 +268,8 @@ def _kv_csv(results: dict) -> str:
 
 def _render_report(inputs: dict, results: dict, quad: QuadratureSpec, fmt: str, text_lines: list[str]) -> str:
     if fmt == "json":
-        return json.dumps({"inputs": inputs, "results": results, "meta": _meta(quad)}, indent=2) + "\n"
+        payload = {"inputs": inputs, "results": results, "meta": _meta(quad)}
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return _kv_csv(results)
     return "\n".join(text_lines) + "\n"
@@ -384,7 +382,7 @@ def cmd_doe(args) -> int:
                 "results": {"rows": table.to_json_rows()},
                 "meta": _meta(quad),
             }
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
+            _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
         else:
             lines = ["factorial map of I/r^4", "  rw_ratio  L_ratio  gamma_rad        x  I_over_r4"]
             for row in table:
@@ -465,7 +463,7 @@ def cmd_torque_curve(args) -> int:
     if args.format == "json":
         results["samples"] = [[_jnum(a), _jnum(t)] for a, t in curve.samples]
         payload = {"inputs": inputs, "results": results, "meta": _meta(quad)}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
         return 0
     lines = [
         "torque-angle curve",

@@ -16,7 +16,6 @@ with (1 - x) clamped at 0, so anchor rows drop out of the fit naturally.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import DegenerateFitError, OutOfValidatedRangeWarning
 from .geometry import SectionGeometry, SectionKind
 from .quadrature import QuadratureSpec
-from .stiffness import ENGINEERING_FIT_SLOPE, VALIDATED_X_RANGE, section_integral
+from .stiffness import ENGINEERING_FIT_SLOPE, VALIDATED_X_RANGE, _surrogate_integral, section_integral
 
 CSV_HEADER = "rw_ratio,L_ratio,gamma_rad,x,I_over_r4"
 
@@ -36,6 +35,7 @@ DEFAULT_GAMMAS = (math.pi / 4.0,)
 
 
 def _fmt(x: float) -> str:
+    """12 significant digits, the rendering of every number in CSV and JSON output."""
     return format(float(x), ".12g")
 
 
@@ -52,6 +52,11 @@ class DoeRow:
     def x(self) -> float:
         return self.L_ratio - self.rw_ratio
 
+    @property
+    def columns(self) -> tuple[float, float, float, float, float]:
+        """The values of the CSV_HEADER columns, in order."""
+        return (self.rw_ratio, self.L_ratio, self.gamma, self.x, self.I_over_r4)
+
 
 @dataclass(frozen=True)
 class DoeTable:
@@ -67,32 +72,12 @@ class DoeTable:
 
     def to_csv(self) -> str:
         """Render as CSV: dot decimals, 12 significant digits, LF line endings."""
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            buf.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (row.rw_ratio, row.L_ratio, row.gamma, row.x, row.I_over_r4)
-                )
-                + "\n"
-            )
-        return buf.getvalue()
+        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row.columns) for row in self.rows]
+        return "\n".join(lines) + "\n"
 
     def to_json_rows(self) -> list[dict]:
         keys = CSV_HEADER.split(",")
-        return [
-            dict(
-                zip(
-                    keys,
-                    (
-                        float(_fmt(v))
-                        for v in (row.rw_ratio, row.L_ratio, row.gamma, row.x, row.I_over_r4)
-                    ),
-                )
-            )
-            for row in self.rows
-        ]
+        return [{k: float(_fmt(v)) for k, v in zip(keys, row.columns)} for row in self.rows]
 
     @classmethod
     def from_csv(cls, text: str) -> "DoeTable":
@@ -100,8 +85,11 @@ class DoeTable:
         if not lines or lines[0].strip() != CSV_HEADER:
             raise ValueError(f"expected CSV header '{CSV_HEADER}'")
         rows = []
-        for ln in lines[1:]:
-            rw, lr, gamma, _x, val = (float(tok) for tok in ln.split(","))
+        for n, ln in enumerate(lines[1:], start=1):
+            values = [float(tok) for tok in ln.split(",")]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"CSV row {n} holds a non-finite value: {ln.strip()!r}")
+            rw, lr, gamma, _x, val = values
             rows.append(DoeRow(rw_ratio=rw, L_ratio=lr, gamma=gamma, I_over_r4=val))
         return cls(rows=tuple(rows))
 
@@ -184,6 +172,4 @@ def surrogate_integral(section: SectionGeometry, fit: "SurrogateFit | float" = E
                 stacklevel=2,
             )
     slope = fit.c if isinstance(fit, SurrogateFit) else float(fit)
-    r = section.r
-    r4 = (r * r) * (r * r)
-    return r4 * (math.pi / 4.0 - slope * max(0.0, 1.0 - x))
+    return _surrogate_integral(section.r, x, slope)

@@ -22,6 +22,7 @@ and the bite arc ``[theta1, theta2]`` follows from rho(theta) = r.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,7 +124,7 @@ class WireRing:
     Attributes:
         R: ring (circumferential) radius [mm]; must exceed the section radius
            so the fibre length R + rho*cos(theta) stays positive everywhere.
-        Z: number of rolling elements.
+        Z: number of rolling elements; an integral float is stored as int.
         E: Young's modulus [MPa].
         section: the wire cross-section.
     """
@@ -136,8 +137,13 @@ class WireRing:
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0):
             raise InvalidGeometryError(f"ring radius must be positive, got R={self.R}")
-        if int(self.Z) != self.Z or self.Z < 1:
+        # bool is an int subclass, so Z=True would pass as one rolling element
+        z = self.Z
+        if isinstance(z, bool) or not (
+            isinstance(z, numbers.Real) and math.isfinite(z) and int(z) == z and z >= 1
+        ):
             raise InvalidGeometryError(f"rolling element count must be an integer >= 1, got Z={self.Z}")
+        object.__setattr__(self, "Z", int(self.Z))
         if not (math.isfinite(self.E) and self.E > 0):
             raise InvalidGeometryError(f"Young's modulus must be positive, got E={self.E}")
         if self.R <= self.section.r:

@@ -123,6 +123,11 @@ def section_integral(
     return SectionIntegral(integral_full_arc(section), bite, err)
 
 
+def _surrogate_integral(r: float, x: float, slope: float) -> float:
+    """Linear surrogate of I: r^4 (pi/4 - slope [1 - x]), clamped at pi r^4/4 for x >= 1."""
+    return _r4(r) * (math.pi / 4.0 - slope * max(0.0, 1.0 - x))
+
+
 def stiffness_from_integral(ring: WireRing, I: float) -> float:
     """Twisting stiffness K_T = (beta E / R) * I  [N*mm/rad]."""
     if I < 0:
@@ -163,6 +168,4 @@ def stiffness_engineering(ring: WireRing) -> float:
             OutOfValidatedRangeWarning,
             stacklevel=2,
         )
-    bracket = max(0.0, 1.0 - x)
-    factor = math.pi * math.pi / 2.0 - 2.0 * math.pi * ENGINEERING_FIT_SLOPE * bracket
-    return ring.E * _r4(sec.r) / (ring.Z * ring.R) * factor
+    return stiffness_from_integral(ring, _surrogate_integral(sec.r, x, ENGINEERING_FIT_SLOPE))

@@ -5,15 +5,23 @@ Virtual work over the section gives the twisting moment at a finite angle
 
     T(alpha) = (beta E / alpha) * II  (cos(theta+alpha) - cos(theta))^2
                / (R + rho cos(theta)) * rho^3  d(rho) d(theta)
+             = beta E 4 sin^2(alpha/2) / alpha * M(alpha/2),
+    M(phi)   = II sin^2(theta + phi) rho^3 / (R + rho cos(theta)) d(rho) d(theta).
 
-evaluated with the trig identity
-``(cos(theta+alpha) - cos(theta))^2 = 4 sin^2(alpha/2) sin^2(theta + alpha/2)``
-which is stable for small twist angles.  The rho-integral is smooth and is
-done with a fixed 32-point Gauss rule; the theta-integral uses the adaptive
-backend, split at the bite-arc limits where the rho-limit is only C0.
+The rho-integral is smooth and is done with a fixed 32-point Gauss rule; the
+theta-integral uses the adaptive backend, split at the bite-arc limits where
+the rho-limit is only C0.  Since sin^2(theta + phi) is a first harmonic in
+2 phi, so is M: from the moments M0, M45, M90 at phi = 0, pi/4, pi/2,
 
-T(0) := 0 by continuity.  The origin stiffness is the Richardson-extrapolated
-limit of T(alpha)/alpha; secant stiffnesses are T(+/-alpha_max)/(+/-alpha_max)
+    M(phi) = (M0 + M90)/2 + (M0 - M90)/2 cos 2phi + (M45 - (M0 + M90)/2) sin 2phi,
+
+so a whole torque curve takes three quadratures.  All three integrands are
+non-negative, so the relative tolerance keeps its meaning; the sin 2theta
+moment, which vanishes for the circle, is never integrated directly.
+
+T(0) := 0 by continuity.  The origin stiffness is exact, K_origin =
+beta E M0 = beta E II y^2 / (R + x) dA, with the small-angle beta E I / R as
+its thin-ring limit.  Secant stiffnesses are T(+/-alpha_max)/(+/-alpha_max)
 and differ for asymmetric (wire-race) sections.
 """
 
@@ -21,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,9 +43,6 @@ from .quadrature import QuadratureSpec, integrate
 
 _INNER_X, _INNER_W = np.polynomial.legendre.leggauss(32)
 
-# Richardson sampling exponents for the origin stiffness: alpha_max / 2^k.
-_ORIGIN_LEVELS = range(4, 9)
-
 
 @dataclass(frozen=True)
 class TorqueCurve:
@@ -47,7 +51,8 @@ class TorqueCurve:
     Attributes:
         alphas: twist angles [rad], sorted ascending, including 0.
         torques: twisting moments [N*mm] matching ``alphas``; T(0) = 0.
-        K_origin: Richardson-extrapolated slope at alpha -> 0 [N*mm/rad].
+        K_origin: exact slope dT/dalpha at alpha = 0, beta E II y^2/(R + x) dA
+            [N*mm/rad]; its thin-ring limit is beta E I / R.
         K_secant_pos: T(+alpha_max)/alpha_max [N*mm/rad].
         K_secant_neg: T(-alpha_max)/(-alpha_max) [N*mm/rad].
     """
@@ -78,6 +83,39 @@ def _inner_rho_integral(R: float, theta: float, upper: float) -> float:
     return half * float(np.sum(_INNER_W * x**3 / (R + x * math.cos(theta))))
 
 
+def _moment(ring: WireRing, phi: float, quad: QuadratureSpec | None) -> float:
+    """Section moment M(phi) = int sin^2(theta + phi) h(theta) d(theta) [mm^3].
+
+    h(theta) is the rho-integral of rho^3 / (R + rho cos(theta)) over the
+    material; the theta-integral is split at the bite-arc limits.
+    """
+    section = ring.section
+    R = ring.R
+    r = section.r
+
+    def g_full(theta: float) -> float:
+        s = math.sin(theta + phi)
+        return s * s * _inner_rho_integral(R, theta, r)
+
+    if classify_section(section) is SectionClass.FULL_CIRCLE:
+        return integrate(g_full, 0.0, 2.0 * math.pi, quad)[0]
+
+    t1, t2 = theta_limits(section)
+
+    def g_bite(theta: float) -> float:
+        s = math.sin(theta + phi)
+        return s * s * _inner_rho_integral(R, theta, rho_of_theta(section, theta))
+
+    bite, _ = integrate(g_bite, t1, t2, quad)
+    outer, _ = integrate(g_full, t2, t1 + 2.0 * math.pi, quad)
+    return bite + outer
+
+
+def _torque_from_moment(ring: WireRing, alpha: float, moment: float) -> float:
+    """T(alpha) = beta E 4 sin^2(alpha/2) / alpha * M(alpha/2), for alpha != 0."""
+    return ring.beta * ring.E * 4.0 * math.sin(0.5 * alpha) ** 2 / alpha * moment
+
+
 def torque_full(ring: WireRing, alpha: float, quad: QuadratureSpec | None = None) -> float:
     """Twisting moment at finite angle ``alpha`` [N*mm]; T(0) = 0 by continuity.
 
@@ -88,47 +126,7 @@ def torque_full(ring: WireRing, alpha: float, quad: QuadratureSpec | None = None
         raise ValueError(f"twist angle must satisfy |alpha| < pi/2, got {alpha}")
     if alpha == 0.0:
         return 0.0
-
-    section = ring.section
-    R = ring.R
-    r = section.r
-    half_alpha = 0.5 * alpha
-    prefactor = ring.beta * ring.E * 4.0 * math.sin(half_alpha) ** 2 / alpha
-
-    def g_full(theta: float) -> float:
-        s = math.sin(theta + half_alpha)
-        return s * s * _inner_rho_integral(R, theta, r)
-
-    if classify_section(section) is SectionClass.FULL_CIRCLE:
-        value, _ = integrate(g_full, 0.0, 2.0 * math.pi, quad)
-        return prefactor * value
-
-    t1, t2 = theta_limits(section)
-
-    def g_bite(theta: float) -> float:
-        s = math.sin(theta + half_alpha)
-        return s * s * _inner_rho_integral(R, theta, rho_of_theta(section, theta))
-
-    bite, _ = integrate(g_bite, t1, t2, quad)
-    outer, _ = integrate(g_full, t2, t1 + 2.0 * math.pi, quad)
-    return prefactor * (bite + outer)
-
-
-def richardson_extrapolate(values: Sequence[float], step_ratio: float = 2.0) -> float:
-    """Limit of a sequence f(h), f(h/s), f(h/s^2), ... assuming a power-series error.
-
-    ``values`` ordered from the largest step to the smallest.
-    """
-    level = list(values)
-    order = 1
-    while len(level) > 1:
-        factor = step_ratio**order
-        level = [
-            (factor * fine - coarse) / (factor - 1.0)
-            for coarse, fine in zip(level[:-1], level[1:])
-        ]
-        order += 1
-    return level[0]
+    return _torque_from_moment(ring, alpha, _moment(ring, 0.5 * alpha, quad))
 
 
 def torque_curve(
@@ -140,8 +138,8 @@ def torque_curve(
     """Sample T(alpha) on [-alpha_max, +alpha_max] and derive stiffness constants.
 
     The grid is uniform and always contains alpha = 0 (an even ``n_steps``
-    is rounded up to the next odd count).  K_origin is the Richardson
-    extrapolation of T(alpha)/alpha over alpha = alpha_max/2^k, k = 4..8.
+    is rounded up to the next odd count).  Every sample comes from the three
+    section moments M0, M45 and M90; K_origin = beta E M0 exactly.
     """
     if not (0.0 < alpha_max < math.pi / 2.0):
         raise ValueError(f"alpha_max must lie in (0, pi/2), got {alpha_max}")
@@ -153,18 +151,20 @@ def torque_curve(
     positive = np.linspace(0.0, alpha_max, half + 1)
     alphas = np.concatenate([-positive[:0:-1], positive])
 
-    torques = np.array([torque_full(ring, float(a), quad) for a in alphas])
-
-    ratios = [
-        torque_full(ring, alpha_max / 2.0**k, quad) / (alpha_max / 2.0**k)
-        for k in _ORIGIN_LEVELS
-    ]
-    k_origin = richardson_extrapolate(ratios, step_ratio=2.0)
+    m0, m45, m90 = (_moment(ring, phi, quad) for phi in (0.0, 0.25 * math.pi, 0.5 * math.pi))
+    mean = 0.5 * (m0 + m90)
+    cos_amp, sin_amp = 0.5 * (m0 - m90), m45 - mean
+    # M(alpha/2) = mean + cos_amp cos(alpha) + sin_amp sin(alpha)
+    torques = np.array([
+        0.0 if a == 0.0
+        else _torque_from_moment(ring, a, mean + cos_amp * math.cos(a) + sin_amp * math.sin(a))
+        for a in alphas
+    ])
 
     return TorqueCurve(
         alphas=alphas,
         torques=torques,
-        K_origin=k_origin,
+        K_origin=ring.beta * ring.E * m0,
         K_secant_pos=float(torques[-1] / alphas[-1]),
         K_secant_neg=float(torques[0] / alphas[0]),
     )

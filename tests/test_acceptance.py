@@ -165,7 +165,7 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_limit_consistency():
-    """Richardson K_origin matches the circular closed form within 0.5%, and
+    """The exact K_origin matches the circular closed form within 0.5%, and
     the closed-form deviation of T(alpha)/alpha falls monotonically under
     alpha-halving until it reaches the small-curvature floor (~3.5e-5), below
     which it stays."""

@@ -148,6 +148,17 @@ class TestFitCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv_exit_2(self, capsys, tmp_path, bad):
+        target = tmp_path / "map.csv"
+        target.write_text(
+            f"rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n2,2.25,0.785,0.25,{bad}\n", encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, ["fit", "--doe-csv", str(target), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "row 1" in err
+
 
 class TestTorqueCurveCommand:
     def test_csv_samples(self, capsys):
@@ -203,6 +214,12 @@ class TestNumericFailure:
                 "--scheme", "gauss-legendre", "--max-refine", "4", "--rel-tol", "1e-10",
             ],
         )
+        assert code == 3
+        assert "error" in err
+
+    def test_tolerance_below_roundoff_exit_3(self, capsys):
+        """rel_tol 1e-16 cannot be met; the evaluation budget ends the refinement."""
+        code, _, err = run_cli(capsys, ["integral", *REAL_FLAGS, "--rel-tol", "1e-16"])
         assert code == 3
         assert "error" in err
 

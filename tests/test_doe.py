@@ -186,6 +186,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             DoeTable.from_csv("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite_value(self, bad):
+        text = f"rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.5,0.6\n3,3.5,0.785,0.5,{bad}\n"
+        with pytest.raises(ValueError, match="row 2"):
+            DoeTable.from_csv(text)
+
     def test_json_rows(self, default_table):
         rows = default_table.to_json_rows()
         assert len(rows) == 12

@@ -229,3 +229,13 @@ class TestWireRing:
     def test_invalid_ring(self, kwargs):
         with pytest.raises(InvalidGeometryError):
             WireRing(section=SectionGeometry.circular(3.3), **kwargs)
+
+    @pytest.mark.parametrize("z", [True, False, 82.5, math.nan, math.inf, "82"])
+    def test_non_integer_count_rejected(self, z):
+        """Z=True would otherwise pass as one rolling element (beta = 2 pi)."""
+        with pytest.raises(InvalidGeometryError):
+            WireRing(227.0, z, 210000.0, SectionGeometry.circular(3.3))
+
+    def test_integral_float_count_stored_as_int(self):
+        ring = WireRing(227.0, 82.0, 210000.0, SectionGeometry.circular(3.3))
+        assert ring.Z == 82 and type(ring.Z) is int

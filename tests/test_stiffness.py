@@ -21,6 +21,7 @@ from wiretwist import (
     stiffness_circular,
     stiffness_engineering,
     stiffness_from_integral,
+    surrogate_integral,
     theta_limits,
 )
 from conftest import GAMMA_CLASSES, REF_E, REF_GAMMA, REF_R, REF_Z
@@ -266,6 +267,17 @@ class TestStiffnessEngineering:
         )
         stiffness_engineering(ring)
         assert not [w for w in recwarn if issubclass(w.category, OutOfValidatedRangeWarning)]
+
+    @pytest.mark.parametrize("x", [0.25, 0.6, 1.0, 1.3])
+    def test_is_surrogate_integral_stiffness(self, x):
+        """K_eng = (beta E / R) * surrogate I, the same surrogate the DOE module fits."""
+        sec = SectionGeometry.from_ratios(3.0, 3.0 + x, REF_GAMMA, r=3.3)
+        ring = WireRing(REF_R, REF_Z, REF_E, sec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfValidatedRangeWarning)
+            k_eng = stiffness_engineering(ring)
+            k_surrogate = stiffness_from_integral(ring, surrogate_integral(sec))
+        assert k_eng == pytest.approx(k_surrogate, rel=1e-14)
 
     def test_wrong_kind(self, circular_ring):
         with pytest.raises(WrongSectionKindError):

@@ -1,4 +1,4 @@
-"""Finite-angle torque, torque curves, Richardson origin stiffness."""
+"""Finite-angle torque, torque curves from three section moments, origin stiffness."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import wiretwist.torque as torque_module
 from wiretwist import (
     SectionGeometry,
     WireRing,
     delta_length,
-    richardson_extrapolate,
     section_integral,
     stiffness_circular,
     stiffness_from_integral,
@@ -98,21 +98,6 @@ class TestTorqueFull:
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-class TestRichardson:
-    def test_linear_series_exact(self):
-        f = lambda h: 5.0 + 3.0 * h
-        values = [f(0.8 / 2**k) for k in range(4)]
-        assert richardson_extrapolate(values) == pytest.approx(5.0, abs=1e-12)
-
-    def test_power_series(self):
-        f = lambda h: 2.0 - 0.7 * h + 0.3 * h**2 - 0.1 * h**3
-        values = [f(0.5 / 2**k) for k in range(5)]
-        assert richardson_extrapolate(values) == pytest.approx(2.0, abs=1e-12)
-
-    def test_single_value_passthrough(self):
-        assert richardson_extrapolate([4.2]) == 4.2
-
-
 class TestTorqueCurve:
     def test_passes_through_origin(self, circular_ring):
         curve = torque_curve(circular_ring, 0.05, n_steps=5)
@@ -129,13 +114,13 @@ class TestTorqueCurve:
         assert len(curve.alphas) == 5
 
     def test_origin_stiffness_circular(self, circular_ring):
-        """Richardson K_origin within 0.5% of the circular closed form."""
+        """K_origin within 0.5% of the circular closed form."""
         curve = torque_curve(circular_ring, 0.1, n_steps=3)
         k8 = stiffness_circular(circular_ring)
         assert abs(curve.K_origin - k8) / k8 < 5e-3
 
     def test_origin_stiffness_real_section(self, real_ring):
-        """Richardson K_origin matches (beta E / R) I within 0.5% (R/r ~ 69)."""
+        """K_origin matches its thin-ring limit (beta E / R) I within 0.5% (R/r ~ 69)."""
         curve = torque_curve(real_ring, 0.1, n_steps=3)
         k_num = stiffness_from_integral(real_ring, section_integral(real_ring.section).total)
         assert abs(curve.K_origin - k_num) / k_num < 5e-3
@@ -157,3 +142,40 @@ class TestTorqueCurve:
             torque_curve(circular_ring, 2.0)
         with pytest.raises(ValueError):
             torque_curve(circular_ring, 0.1, n_steps=1)
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 21, 101])
+    def test_three_moments_for_any_step_count(self, real_ring, monkeypatch, n_steps):
+        """The whole curve costs three section-moment quadratures."""
+        phis = []
+        moment = torque_module._moment
+
+        def counting(ring, phi, quad):
+            phis.append(phi)
+            return moment(ring, phi, quad)
+
+        monkeypatch.setattr(torque_module, "_moment", counting)
+        torque_curve(real_ring, 0.1, n_steps=n_steps)
+        assert phis == [0.0, PI / 4.0, PI / 2.0]
+
+
+CURVE_SECTIONS = {
+    "circle": SectionGeometry.circular(3.3),
+    "partial": SectionGeometry.from_ratios(3.0, 3.5, REF_GAMMA, r=3.3),
+    "full": SectionGeometry.from_ratios(3.0, 4.2, REF_GAMMA, r=3.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVE_SECTIONS))
+class TestCurveFromMoments:
+    def test_samples_equal_torque_full(self, kind):
+        ring = WireRing(REF_R, REF_Z, REF_E, CURVE_SECTIONS[kind])
+        curve = torque_curve(ring, 0.3, n_steps=13)
+        for alpha, torque in curve.samples:
+            assert torque == pytest.approx(torque_full(ring, alpha), rel=1e-10, abs=0.0)
+
+    def test_origin_stiffness_is_secant_limit(self, kind):
+        """K_origin equals the central secant (T(a)/a + T(-a)/(-a))/2 at a = 1e-4."""
+        ring = WireRing(REF_R, REF_Z, REF_E, CURVE_SECTIONS[kind])
+        a = 1e-4
+        secant = 0.5 * (torque_full(ring, a) / a + torque_full(ring, -a) / -a)
+        assert torque_curve(ring, 0.1, n_steps=3).K_origin == pytest.approx(secant, rel=1e-7)
