@@ -30,10 +30,11 @@ def main():
     print("  -> second-order against the x trend; a line in x suffices.\n")
 
     fit = fit_surrogate(table)
+    residuals = np.asarray(fit.residuals)
     print(f"constrained least squares through the anchor (x=1, pi/4):")
     print(f"  fitted slope c = {fit.c:.6f}   (rounded engineering value: 0.36)")
-    print(f"  residuals: max |r| = {np.max(np.abs(fit.residuals)):.5f}, "
-          f"rms = {np.sqrt(np.mean(fit.residuals**2)):.5f}\n")
+    print(f"  residuals: max |r| = {np.max(np.abs(residuals)):.5f}, "
+          f"rms = {np.sqrt(np.mean(residuals**2)):.5f}\n")
 
     print("resulting engineering formulas:")
     print(f"  I   ~= r^4 (pi/4 - {fit.c:.4f} [1 - x])")

@@ -13,7 +13,8 @@ Every command runs with zero flags using the built-in reference ring
 JSON are rendered at 12 significant digits; identical inputs give
 byte-identical outputs.
 
-Exit codes: 0 ok, 2 invalid input, 3 numeric failure, 4 check failure.
+Exit codes: 0 ok, 2 invalid input (or out of memory), 3 numeric failure,
+4 check failure.
 """
 
 from __future__ import annotations
@@ -528,6 +529,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # e.g. an oracle-check --grid too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -20,8 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DegenerateFitError, OutOfValidatedRangeWarning
 from .geometry import SectionGeometry, SectionKind
 from .quadrature import QuadratureSpec
@@ -89,7 +87,11 @@ class DoeTable:
             values = [float(tok) for tok in ln.split(",")]
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"CSV row {n} holds a non-finite value: {ln.strip()!r}")
-            rw, lr, gamma, _x, val = values
+            rw, lr, gamma, x, val = values
+            if abs(x - (lr - rw)) > 1e-9 * max(1.0, abs(lr)):
+                raise ValueError(
+                    f"CSV row {n} has x={x:.12g}, but L_ratio - rw_ratio = {lr - rw:.12g}: {ln.strip()!r}"
+                )
             rows.append(DoeRow(rw_ratio=rw, L_ratio=lr, gamma=gamma, I_over_r4=val))
         return cls(rows=tuple(rows))
 
@@ -125,13 +127,15 @@ class SurrogateFit:
     """
 
     c: float
-    residuals: np.ndarray = field(repr=False)
+    residuals: tuple[float, ...] = field(repr=False)
 
     ANCHOR_X = 1.0
     ANCHOR_VALUE = math.pi / 4.0
 
     def predict(self, x):
         """Surrogate I/r^4 at parameter x (scalar or array), clamped at the anchor."""
+        import numpy as np
+
         return self.ANCHOR_VALUE - self.c * np.maximum(0.0, 1.0 - np.asarray(x, dtype=float))
 
 
@@ -141,14 +145,13 @@ def fit_surrogate(table: DoeTable) -> SurrogateFit:
     Rows with x >= 1 sit on the anchor and contribute nothing to the normal
     equation.  Raises DegenerateFitError when no row informs the slope.
     """
-    x = np.array([row.x for row in table])
-    observed = np.array([row.I_over_r4 for row in table])
-    one_minus_x = np.maximum(0.0, 1.0 - x)
-    denom = float(np.sum(one_minus_x**2))
+    anchor = SurrogateFit.ANCHOR_VALUE
+    one_minus_x = [max(0.0, 1.0 - row.x) for row in table]
+    denom = math.fsum(d * d for d in one_minus_x)
     if denom == 0.0:
         raise DegenerateFitError("all rows have x >= 1; the slope is unconstrained")
-    c = float(np.sum((SurrogateFit.ANCHOR_VALUE - observed) * one_minus_x)) / denom
-    residuals = observed - (SurrogateFit.ANCHOR_VALUE - c * one_minus_x)
+    c = math.fsum((anchor - row.I_over_r4) * d for row, d in zip(table, one_minus_x)) / denom
+    residuals = tuple(row.I_over_r4 - (anchor - c * d) for row, d in zip(table, one_minus_x))
     return SurrogateFit(c=c, residuals=residuals)
 
 

@@ -32,6 +32,11 @@ from .errors import DomainError, InvalidGeometryError, WrongSectionKindError
 TANGENCY_TOL = 1e-12
 
 
+def _is_real(value) -> bool:
+    """A finite real number.  bool is an int subclass, but never a length, angle or count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class SectionKind(Enum):
     CIRCULAR = "circular"
     WIRE_RACE = "wire_race"
@@ -63,8 +68,8 @@ class SectionGeometry:
     gamma: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise InvalidGeometryError(f"section radius must be positive, got r={self.r}")
+        if not (_is_real(self.r) and self.r > 0):
+            raise InvalidGeometryError(f"section radius must be positive, got r={self.r!r}")
         if self.kind is SectionKind.CIRCULAR:
             if self.r_w is not None or self.L is not None or self.gamma is not None:
                 raise InvalidGeometryError("circular sections take no bite parameters")
@@ -72,8 +77,8 @@ class SectionGeometry:
         if self.r_w is None or self.L is None or self.gamma is None:
             raise InvalidGeometryError("wire-race sections require r_w, L and gamma")
         for name, val in (("r_w", self.r_w), ("L", self.L), ("gamma", self.gamma)):
-            if not math.isfinite(val):
-                raise InvalidGeometryError(f"{name} must be finite, got {val}")
+            if not _is_real(val):
+                raise InvalidGeometryError(f"{name} must be a finite real number, got {val!r}")
         if self.r_w <= 0:
             raise InvalidGeometryError(f"bite radius must be positive, got r_w={self.r_w}")
         if self.L <= 0:
@@ -135,17 +140,13 @@ class WireRing:
     section: SectionGeometry
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise InvalidGeometryError(f"ring radius must be positive, got R={self.R}")
-        # bool is an int subclass, so Z=True would pass as one rolling element
-        z = self.Z
-        if isinstance(z, bool) or not (
-            isinstance(z, numbers.Real) and math.isfinite(z) and int(z) == z and z >= 1
-        ):
-            raise InvalidGeometryError(f"rolling element count must be an integer >= 1, got Z={self.Z}")
+        if not (_is_real(self.R) and self.R > 0):
+            raise InvalidGeometryError(f"ring radius must be positive, got R={self.R!r}")
+        if not (_is_real(self.Z) and int(self.Z) == self.Z and self.Z >= 1):
+            raise InvalidGeometryError(f"rolling element count must be an integer >= 1, got Z={self.Z!r}")
         object.__setattr__(self, "Z", int(self.Z))
-        if not (math.isfinite(self.E) and self.E > 0):
-            raise InvalidGeometryError(f"Young's modulus must be positive, got E={self.E}")
+        if not (_is_real(self.E) and self.E > 0):
+            raise InvalidGeometryError(f"Young's modulus must be positive, got E={self.E!r}")
         if self.R <= self.section.r:
             raise InvalidGeometryError(
                 f"ring radius must exceed the section radius (got R={self.R}, r={self.section.r})"

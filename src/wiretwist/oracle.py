@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import SectionKind, WireRing
 
 
@@ -48,6 +46,7 @@ def oracle_torque(ring: WireRing, alpha: float, grid: GridSpec | None = None) ->
         raise ValueError("oracle_torque requires a nonzero twist angle")
     if grid is None:
         grid = GridSpec()
+    import numpy as np
 
     section = ring.section
     r = section.r

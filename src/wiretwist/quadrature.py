@@ -15,12 +15,11 @@ carries the best available estimate plus an error bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from .errors import QuadratureNotConvergedError
 
@@ -33,7 +32,6 @@ _DEFAULT_SIMPSON_DEPTH = 40
 _SIMPSON_EVAL_BUDGET = 100_000
 _DEFAULT_GAUSS_PANELS = 512
 _GAUSS_PANEL_ORDER = 16
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
 
 
 class QuadratureScheme(Enum):
@@ -86,13 +84,36 @@ def integrate(
     return _gauss_composite(f, a, b, spec.rel_tol, spec.cap)
 
 
+@functools.cache
+def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``n``-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    return tuple(x.tolist()), tuple(w.tolist())
+
+
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced nodes from ``a`` to ``b``, bit for bit as ``numpy.linspace``."""
+    div = n - 1
+    step = (b - a) / div
+    if step == 0.0:
+        # numpy's branch for a span so small that the step underflows to zero
+        nodes = [i / div * (b - a) + a for i in range(n)]
+    else:
+        nodes = [i * step + a for i in range(n)]
+    nodes[-1] = b
+    return nodes
+
+
+# Composite Simpson weights of the 21-node magnitude estimate.
+_COARSE_WEIGHTS = (1.0,) + (4.0, 2.0) * 9 + (4.0, 1.0)
+
+
 def _coarse_scale(f, a, b) -> float:
     """Magnitude estimate used to turn the relative tolerance into an absolute one."""
-    xs = np.linspace(a, b, 21)
-    w = np.ones(21)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    est = sum(wi * f(xi) for wi, xi in zip(w, xs)) * (xs[1] - xs[0]) / 3.0
+    xs = _linspace(a, b, 21)
+    est = sum(wi * f(xi) for wi, xi in zip(_COARSE_WEIGHTS, xs)) * (xs[1] - xs[0]) / 3.0
     return abs(est)
 
 
@@ -141,12 +162,13 @@ def _adaptive_simpson(f, a, b, rel_tol, max_depth) -> tuple[float, float]:
 
 
 def _gauss_panels(f, a, b, n_panels) -> float:
-    edges = np.linspace(a, b, n_panels + 1)
+    edges = _linspace(a, b, n_panels + 1)
+    nodes, weights = _gauss_rule(_GAUSS_PANEL_ORDER)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        total += half * sum(w * f(mid + half * x) for x, w in zip(_PANEL_X, _PANEL_W))
+        total += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
     return total
 
 

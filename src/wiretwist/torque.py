@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import (
     SectionClass,
@@ -39,9 +38,10 @@ from .geometry import (
     rho_of_theta,
     theta_limits,
 )
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, _gauss_rule, integrate
 
-_INNER_X, _INNER_W = np.polynomial.legendre.leggauss(32)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,26 +76,28 @@ def delta_length(rho: float, theta: float, alpha: float, ring: WireRing) -> floa
     return ring.beta * rho * (math.cos(theta + alpha) - math.cos(theta))
 
 
-def _inner_rho_integral(R: float, theta: float, upper: float) -> float:
-    """int_0^upper rho^3 / (R + rho cos(theta)) d(rho), fixed 32-point Gauss."""
-    half = 0.5 * upper
-    x = half * (_INNER_X + 1.0)
-    return half * float(np.sum(_INNER_W * x**3 / (R + x * math.cos(theta))))
-
-
 def _moment(ring: WireRing, phi: float, quad: QuadratureSpec | None) -> float:
     """Section moment M(phi) = int sin^2(theta + phi) h(theta) d(theta) [mm^3].
 
     h(theta) is the rho-integral of rho^3 / (R + rho cos(theta)) over the
     material; the theta-integral is split at the bite-arc limits.
     """
+    import numpy as np
+
+    nodes, weights = (np.array(v) for v in _gauss_rule(32))
     section = ring.section
     R = ring.R
     r = section.r
 
+    def inner(theta: float, upper: float) -> float:
+        """int_0^upper rho^3 / (R + rho cos(theta)) d(rho), fixed 32-point Gauss."""
+        half = 0.5 * upper
+        x = half * (nodes + 1.0)
+        return half * float(np.sum(weights * x**3 / (R + x * math.cos(theta))))
+
     def g_full(theta: float) -> float:
         s = math.sin(theta + phi)
-        return s * s * _inner_rho_integral(R, theta, r)
+        return s * s * inner(theta, r)
 
     if classify_section(section) is SectionClass.FULL_CIRCLE:
         return integrate(g_full, 0.0, 2.0 * math.pi, quad)[0]
@@ -104,7 +106,7 @@ def _moment(ring: WireRing, phi: float, quad: QuadratureSpec | None) -> float:
 
     def g_bite(theta: float) -> float:
         s = math.sin(theta + phi)
-        return s * s * _inner_rho_integral(R, theta, rho_of_theta(section, theta))
+        return s * s * inner(theta, rho_of_theta(section, theta))
 
     bite, _ = integrate(g_bite, t1, t2, quad)
     outer, _ = integrate(g_full, t2, t1 + 2.0 * math.pi, quad)
@@ -145,6 +147,7 @@ def torque_curve(
         raise ValueError(f"alpha_max must lie in (0, pi/2), got {alpha_max}")
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    import numpy as np
 
     n = n_steps if n_steps % 2 == 1 else n_steps + 1
     half = (n - 1) // 2

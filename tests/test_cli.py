@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,27 @@ class TestFitCommand:
         assert out == ""
         assert "row 1" in err
 
+    def test_contradicting_x_csv_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "map.csv"
+        target.write_text("rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.9,0.6\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["fit", "--doe-csv", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "row 1 has x=0.9" in err
+
+    def test_anchor_only_csv_exit_2(self, capsys, tmp_path):
+        """Rows with x >= 1 sit on the anchor; a map of only such rows cannot fix the slope."""
+        target = tmp_path / "map.csv"
+        target.write_text(
+            "rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n2,3,0.785,1,0.785398163397\n"
+            "3,4.5,0.785,1.5,0.785398163397\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, ["fit", "--doe-csv", str(target), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "all rows have x >= 1" in err
+
 
 class TestTorqueCurveCommand:
     def test_csv_samples(self, capsys):
@@ -203,6 +228,50 @@ class TestOracleCheckCommand:
         )
         assert code == 0
         assert json.loads(out)["results"]["passed"] is True
+
+
+class TestOutOfMemory:
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        """A grid too large to allocate ends with exit 2 and one line, not a traceback."""
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr("wiretwist.cli.oracle_torque", refuse)
+        code, out, err = run_cli(capsys, ["oracle-check", "--grid", "1000000"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.45 TiB for an array\n"
+
+
+class TestColdStart:
+    """Only the commands that build arrays import numpy."""
+
+    SCRIPT = """
+import contextlib, io, sys
+import wiretwist, wiretwist.cli
+from wiretwist.cli import main
+seen = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for command in ("stiffness", "integral", "doe", "fit"):
+        for fmt in ("text", "json"):
+            assert main([command, "--format", fmt]) == 0
+    assert main(["stiffness", "--rw-ratio", "3", "--L-ratio", "3.5"]) == 0
+    assert main(["integral", "--rw-ratio", "3", "--L-ratio", "3.5", "--format", "json"]) == 0
+    seen.append("numpy" in sys.modules)
+    assert main(["oracle-check", "--grid", "64"]) == 0
+    seen.append("numpy" in sys.modules)
+print(seen)
+"""
+
+    def test_numpy_imported_only_by_oracle_check(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[False, True]\n"
 
 
 class TestNumericFailure:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -117,8 +118,28 @@ class TestFitSurrogate:
         assert np.max(np.abs(fit.residuals)) <= 0.0125
         xs = np.array([row.x for row in default_table])
         for x in np.unique(xs):
-            group_mean = float(np.mean(fit.residuals[xs == x]))
+            group_mean = float(np.mean(np.asarray(fit.residuals)[xs == x]))
             assert abs(group_mean) <= 0.011
+
+    def test_matches_numpy_normal_equation(self):
+        """The plain-float fit sums in another order than numpy; it agrees to a few ulp."""
+        rng = random.Random(9)
+        for _ in range(50):
+            rows = tuple(
+                DoeRow(rw, rw + rng.uniform(0.05, 1.2), PI / 4, rng.uniform(0.4, 0.8))
+                for rw in (2.0, 2.5, 3.0) for _ in range(4)
+            )
+            d = np.maximum(0.0, 1.0 - np.array([row.x for row in rows]))
+            observed = np.array([row.I_over_r4 for row in rows])
+            c_ref = float(np.sum((PI / 4 - observed) * d)) / float(np.sum(d**2))
+            fit = fit_surrogate(DoeTable(rows=rows))
+            assert fit.c == pytest.approx(c_ref, rel=8 * np.finfo(float).eps)
+            np.testing.assert_allclose(fit.residuals, observed - (PI / 4 - c_ref * d), rtol=0, atol=1e-15)
+
+    def test_residuals_are_a_tuple_of_floats(self, default_table):
+        fit = fit_surrogate(default_table)
+        assert type(fit.residuals) is tuple and len(fit.residuals) == len(default_table)
+        assert all(type(v) is float for v in fit.residuals)
 
     def test_anchor_exact(self, default_table):
         fit = fit_surrogate(default_table)
@@ -191,6 +212,22 @@ class TestSerialization:
         text = f"rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.5,0.6\n3,3.5,0.785,0.5,{bad}\n"
         with pytest.raises(ValueError, match="row 2"):
             DoeTable.from_csv(text)
+
+    def test_csv_rejects_contradicting_x(self):
+        """x must equal L_ratio - rw_ratio; it used to be read and silently dropped."""
+        text = "rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.5,0.6\n3,3.5,0.785,0.9,0.6\n"
+        with pytest.raises(ValueError, match="row 2 has x=0.9"):
+            DoeTable.from_csv(text)
+
+    def test_csv_x_check_passes_rendered_rows(self):
+        """The 12-digit rendering of to_csv stays far inside the x tolerance."""
+        rng = random.Random(4)
+        rows = []
+        for _ in range(500):
+            rw = 10.0 ** rng.uniform(-2.0, 6.0)
+            rows.append(DoeRow(rw, rw + rng.uniform(1e-6, 1.5), rng.uniform(0.0, 2 * PI), 0.5))
+        parsed = DoeTable.from_csv(DoeTable(rows=tuple(rows)).to_csv())
+        assert len(parsed) == len(rows)
 
     def test_json_rows(self, default_table):
         rows = default_table.to_json_rows()

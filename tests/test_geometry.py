@@ -38,6 +38,23 @@ class TestSectionConstruction:
         with pytest.raises(InvalidGeometryError):
             SectionGeometry.circular(r)
 
+    @pytest.mark.parametrize("field", ["r", "r_w", "L", "gamma"])
+    @pytest.mark.parametrize("bad", [True, False, "3.3", None, 1j])
+    def test_non_real_section_value_rejected(self, field, bad):
+        """bool would pass as 1 or 0 and a string would end in a bare TypeError."""
+        values = dict(r=1.0, r_w=3.0, L=3.5, gamma=PI / 4)
+        values[field] = bad
+        with pytest.raises(InvalidGeometryError, match=field):
+            SectionGeometry.wire_race(**values)
+
+    def test_non_real_ratio_rejected(self):
+        with pytest.raises(InvalidGeometryError):
+            SectionGeometry.from_ratios(3, 3.5, True)
+
+    def test_bool_circular_radius_rejected(self):
+        with pytest.raises(InvalidGeometryError):
+            SectionGeometry.circular(True)
+
     def test_bite_covering_center_rejected(self):
         """L <= r_w puts the section center inside the bite."""
         with pytest.raises(InvalidGeometryError, match="L > r_w"):
@@ -235,6 +252,14 @@ class TestWireRing:
         """Z=True would otherwise pass as one rolling element (beta = 2 pi)."""
         with pytest.raises(InvalidGeometryError):
             WireRing(227.0, z, 210000.0, SectionGeometry.circular(3.3))
+
+    @pytest.mark.parametrize("field", ["R", "E"])
+    @pytest.mark.parametrize("bad", [True, False, "227", None])
+    def test_non_real_ring_value_rejected(self, field, bad):
+        values = dict(R=227.0, Z=82, E=210000.0)
+        values[field] = bad
+        with pytest.raises(InvalidGeometryError, match=f"{field}="):
+            WireRing(section=SectionGeometry.circular(3.3), **values)
 
     def test_integral_float_count_stored_as_int(self):
         ring = WireRing(227.0, 82.0, 210000.0, SectionGeometry.circular(3.3))

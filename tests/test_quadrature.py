@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from wiretwist import (
@@ -12,6 +14,8 @@ from wiretwist import (
     QuadratureSpec,
     integrate,
 )
+
+from wiretwist.quadrature import _gauss_rule, _linspace
 
 SIMPSON = QuadratureSpec(scheme=QuadratureScheme.ADAPTIVE_SIMPSON)
 GAUSS = QuadratureSpec(scheme=QuadratureScheme.GAUSS_LEGENDRE_COMPOSITE)
@@ -98,3 +102,33 @@ class TestNotConverged:
     def test_simpson_smooth_never_fails_at_default_depth(self):
         value, _ = integrate(lambda x: math.cos(10.0 * x), 0.0, 3.0, SIMPSON)
         assert value == pytest.approx(math.sin(30.0) / 10.0, rel=1e-9)
+
+
+class TestPlainFloatNodes:
+    """The nodes are built without numpy but must equal numpy's bit for bit."""
+
+    def _intervals(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            a = rng.uniform(-10.0, 10.0)
+            yield a, a + rng.uniform(-7.0, 7.0)  # reversed about half the time
+            yield a, a + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16.0, -6.0)  # tiny
+        yield 0.0, 2.0 * math.pi
+        yield 0.0, 5e-323  # a span whose step underflows to zero
+        yield -2.5, -2.5 - 1e-300
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 21, 513])
+    def test_linspace_matches_numpy(self, n):
+        for a, b in self._intervals():
+            assert _linspace(a, b, n) == np.linspace(a, b, n).tolist(), (a, b)
+
+    def test_gauss_rule_is_leggauss(self):
+        x, w = _gauss_rule(16)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert x == tuple(ref_x.tolist()) and w == tuple(ref_w.tolist())
+        assert all(type(v) is float for v in x + w)
+
+    @pytest.mark.parametrize("spec", [SIMPSON, GAUSS], ids=["simpson", "gauss"])
+    def test_results_are_plain_floats(self, spec):
+        value, err = integrate(math.exp, 0.0, 1.0, spec)
+        assert type(value) is float and type(err) is float

@@ -157,6 +157,7 @@ class TestSectionIntegral:
     def test_error_estimate_small(self, real_section):
         integ = section_integral(real_section)
         assert 0.0 <= integ.est_error < 1e-8 * integ.total
+        assert type(integ.est_error) is float
 
 
 class TestStiffnessFromIntegral:
