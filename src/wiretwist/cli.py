@@ -6,7 +6,7 @@ Subcommands
     doe           regenerate the full-factorial map of I/r^4 as CSV/JSON
     fit           fit the surrogate slope to a map (fresh or from CSV)
     torque-curve  sample the finite-angle torque curve, derive stiffnesses
-    oracle-check  compare quadrature torque against the brute-force oracle
+    oracle-check  compare the contour-integral torque against the brute-force oracle
 
 Every command runs with zero flags using the built-in reference ring
 (R=227 mm, r=3.3 mm, Z=82, E=210000 MPa, gamma=45 deg).  Numbers in CSV and
@@ -36,13 +36,7 @@ from .doe import (
     fit_surrogate,
     run_doe,
 )
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    InvalidGeometryError,
-    QuadratureNotConvergedError,
-    WrongSectionKindError,
-)
+from .errors import InvalidGeometryError, QuadratureNotConvergedError
 from .geometry import SectionGeometry, SectionKind, WireRing, classify_section, theta_limits
 from .oracle import GridSpec, oracle_torque
 from .quadrature import QuadratureScheme, QuadratureSpec
@@ -153,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
-        "torque-curve", parents=[ring, quad, _out_parent(default_format="csv")],
+        "torque-curve", parents=[ring, _out_parent(default_format="csv")],
         help="sample the finite-angle torque curve",
     )
     p.add_argument("--alpha-max", type=float, default=0.1, help="max twist angle [rad]")
@@ -161,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_torque_curve)
 
     p = sub.add_parser(
-        "oracle-check", parents=[ring, quad, _out_parent()],
-        help="compare quadrature torque against the brute-force oracle",
+        "oracle-check", parents=[ring, _out_parent()],
+        help="compare the contour-integral torque against the brute-force oracle",
     )
     p.add_argument("--alpha", type=float, default=1e-3, help="twist angle [rad]")
     p.add_argument("--grid", type=int, default=400, help="oracle grid size (N x N)")
@@ -209,15 +203,15 @@ def _resolve_quad(args) -> QuadratureSpec:
     )
 
 
-def _meta(quad: QuadratureSpec) -> dict:
-    return {
-        "version": __version__,
-        "quadrature": {
+def _meta(quad: QuadratureSpec | None = None) -> dict:
+    meta = {"version": __version__}
+    if quad is not None:
+        meta["quadrature"] = {
             "scheme": quad.scheme.value,
             "rel_tol": _jnum(quad.rel_tol),
             "cap": quad.cap,
-        },
-    }
+        }
+    return meta
 
 
 def _ring_inputs(ring: WireRing) -> dict:
@@ -267,7 +261,7 @@ def _kv_csv(results: dict) -> str:
     return keys + "\n" + vals + "\n"
 
 
-def _render_report(inputs: dict, results: dict, quad: QuadratureSpec, fmt: str, text_lines: list[str]) -> str:
+def _render_report(inputs: dict, results: dict, quad: QuadratureSpec | None, fmt: str, text_lines: list[str]) -> str:
     if fmt == "json":
         payload = {"inputs": inputs, "results": results, "meta": _meta(quad)}
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -437,8 +431,7 @@ def cmd_fit(args) -> int:
 
 def cmd_torque_curve(args) -> int:
     ring = _resolve_ring(args)
-    quad = _resolve_quad(args)
-    curve = torque_curve(ring, args.alpha_max, args.n_steps, quad)
+    curve = torque_curve(ring, args.alpha_max, args.n_steps)
 
     summary = (
         f"K_origin={_fmt(curve.K_origin)} "
@@ -457,15 +450,9 @@ def cmd_torque_curve(args) -> int:
         "K_origin_Nmm_per_rad": _jnum(curve.K_origin),
         "K_secant_pos_Nmm_per_rad": _jnum(curve.K_secant_pos),
         "K_secant_neg_Nmm_per_rad": _jnum(curve.K_secant_neg),
+        "samples": [[_jnum(a), _jnum(t)] for a, t in curve.samples],
     }
-    inputs = _ring_inputs(ring)
-    inputs["alpha_max_rad"] = _jnum(args.alpha_max)
-    inputs["n_steps"] = args.n_steps
-    if args.format == "json":
-        results["samples"] = [[_jnum(a), _jnum(t)] for a, t in curve.samples]
-        payload = {"inputs": inputs, "results": results, "meta": _meta(quad)}
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
-        return 0
+    inputs = {**_ring_inputs(ring), "alpha_max_rad": _jnum(args.alpha_max), "n_steps": args.n_steps}
     lines = [
         "torque-angle curve",
         f"  ring:    R={_fmt(ring.R)} mm, Z={ring.Z}, E={_fmt(ring.E)} MPa",
@@ -474,17 +461,14 @@ def cmd_torque_curve(args) -> int:
         "  alpha_rad      torque_Nmm",
     ]
     lines += [f"  {_fmt(a):>12}   {_fmt(t)}" for a, t in curve.samples]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_render_report(inputs, results, None, args.format, lines), args.output)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
     ring = _resolve_ring(args)
-    quad = _resolve_quad(args)
-    grid = GridSpec(args.grid, args.grid)
-
-    t_quad = torque_full(ring, args.alpha, quad)
-    t_oracle = oracle_torque(ring, args.alpha, grid)
+    t_quad = torque_full(ring, args.alpha)
+    t_oracle = oracle_torque(ring, args.alpha, GridSpec(args.grid, args.grid))
     deviation = abs(t_oracle - t_quad) / abs(t_quad)
     passed = deviation <= args.threshold
 
@@ -495,9 +479,7 @@ def cmd_oracle_check(args) -> int:
         "threshold": _jnum(args.threshold),
         "passed": passed,
     }
-    inputs = _ring_inputs(ring)
-    inputs["alpha_rad"] = _jnum(args.alpha)
-    inputs["grid"] = args.grid
+    inputs = {**_ring_inputs(ring), "alpha_rad": _jnum(args.alpha), "grid": args.grid}
     lines = [
         "oracle cross-check",
         f"  section: {_section_text(ring.section)}",
@@ -507,7 +489,7 @@ def cmd_oracle_check(args) -> int:
         f"  relative deviation = {_fmt(deviation)} (threshold {_fmt(args.threshold)})",
         f"  {'PASS' if passed else 'FAIL'}",
     ]
-    _emit(_render_report(inputs, results, quad, args.format, lines), args.output)
+    _emit(_render_report(inputs, results, None, args.format, lines), args.output)
     return 0 if passed else 4
 
 
@@ -519,15 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidGeometryError,
-        WrongSectionKindError,
-        DomainError,
-        DegenerateFitError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

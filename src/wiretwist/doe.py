@@ -84,7 +84,13 @@ class DoeTable:
             raise ValueError(f"expected CSV header '{CSV_HEADER}'")
         rows = []
         for n, ln in enumerate(lines[1:], start=1):
-            values = [float(tok) for tok in ln.split(",")]
+            cells = ln.split(",")
+            if len(cells) != 5:
+                raise ValueError(f"CSV row {n} has {len(cells)} cells, expected 5: {ln.strip()!r}")
+            try:
+                values = [float(tok) for tok in cells]
+            except ValueError:
+                raise ValueError(f"CSV row {n} holds a non-numeric cell: {ln.strip()!r}") from None
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"CSV row {n} holds a non-finite value: {ln.strip()!r}")
             rw, lr, gamma, x, val = values

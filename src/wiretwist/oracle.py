@@ -1,4 +1,4 @@
-"""Brute-force virtual-work validator, independent of the quadrature path.
+"""Brute-force virtual-work validator, independent of the section-moment path.
 
 The section is discretized into differential elements on a midpoint polar
 grid.  Each material element is treated as a circumferential fibre of length
@@ -10,8 +10,10 @@ to ``T * alpha``.
 No closed forms, no adaptive quadrature, no bite-boundary parametrization:
 membership of a cell is decided directly by the distance of its center from
 the bite center (law of cosines), which keeps this module an independent
-cross-check of the main code path.  Summation is numpy pairwise reduction,
-so results are deterministic for a fixed grid.
+cross-check of the main code path.  A cell near the bite circle counts by the
+share of its sub-cell centers outside the bite, cutting the first-order
+boundary error.  Summation is numpy pairwise reduction, so results are
+deterministic for a fixed grid.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import SectionKind, WireRing
+
+_SUBCELLS = 8  # sub-grid per side of a cell near the bite circle
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,9 @@ def oracle_torque(ring: WireRing, alpha: float, grid: GridSpec | None = None) ->
     """Torque at twist angle ``alpha`` by direct summation over section cells [N*mm].
 
     Accuracy is governed purely by the grid; cells whose center lies inside
-    the bite contribute nothing.  ``alpha`` must be nonzero (the quotient
-    by alpha is what turns summed virtual work into a torque).
+    the bite contribute nothing, and cells near the bite circle count by the
+    share of their sub-cells outside it.  ``alpha`` must be nonzero (the
+    quotient by alpha is what turns summed virtual work into a torque).
     """
     if alpha == 0.0:
         raise ValueError("oracle_torque requires a nonzero twist angle")
@@ -52,19 +57,30 @@ def oracle_torque(ring: WireRing, alpha: float, grid: GridSpec | None = None) ->
     r = section.r
     d_rho = r / grid.n_rho
     d_theta = 2.0 * np.pi / grid.n_theta
-    rho = (np.arange(grid.n_rho) + 0.5) * d_rho
+    # rho is a column and theta a row: trig runs on 1-D tables and broadcasts
+    rho = ((np.arange(grid.n_rho) + 0.5) * d_rho)[:, None]
     theta = (np.arange(grid.n_theta) + 0.5) * d_theta
-    P, T = np.meshgrid(rho, theta, indexing="ij")
-
-    if section.kind is SectionKind.WIRE_RACE:
-        # squared distance of the cell center from the bite center
-        dist_sq = section.L**2 + P**2 - 2.0 * section.L * P * np.cos(section.gamma - T)
-        material = dist_sq >= section.r_w**2
-    else:
-        material = np.ones_like(P, dtype=bool)
+    cos_theta = np.cos(theta)
 
     beta = ring.beta
-    d_len = beta * P * (np.cos(T + alpha) - np.cos(T))
-    fibre_len = beta * (ring.R + P * np.cos(T))
-    work = ring.E * d_len**2 / fibre_len * P * d_rho * d_theta
-    return float(np.sum(work * material)) / alpha
+    d_len = beta * rho * (np.cos(theta + alpha) - cos_theta)
+    fibre_len = beta * (ring.R + rho * cos_theta)
+    work = ring.E * d_len**2 / fibre_len * rho * d_rho * d_theta
+    if section.kind is SectionKind.WIRE_RACE:
+        L, r_w, gamma = section.L, section.r_w, section.gamma
+
+        def dist_sq(p, t):  # squared distance of the point (p, t) from the bite center
+            return L**2 + p**2 - 2.0 * L * p * np.cos(gamma - t)
+
+        centre = dist_sq(rho, theta)
+        # cells whose center lies within one cell diagonal of the bite circle
+        diag = np.hypot(d_rho, rho * d_theta)
+        i, j = np.nonzero((centre <= (r_w + diag) ** 2) & (centre >= np.maximum(r_w - diag, 0.0) ** 2))
+        offsets = (np.arange(_SUBCELLS) + 0.5) / _SUBCELLS - 0.5
+        sub_rho = (rho[i] + offsets * d_rho)[:, :, None]
+        sub_theta = (theta[j][:, None] + offsets * d_theta)[:, None, :]
+        share = np.mean(dist_sq(sub_rho, sub_theta) >= r_w**2, axis=(1, 2))
+        boundary_work = work[i, j] * share
+        work *= centre >= r_w**2
+        work[i, j] = boundary_work
+    return float(np.sum(work)) / alpha

@@ -26,9 +26,9 @@ from .errors import QuadratureNotConvergedError
 _DEFAULT_SIMPSON_DEPTH = 40
 # Integrand evaluations one adaptive Simpson refinement may spend.  At the
 # default rel_tol the largest count seen over 1,600 seeded shapes of the
-# benchmark's domain (section integral and torque moments) was 5,866, and
-# rel_tol 1e-15 on the reference section takes about 25,000; a tolerance
-# below roundoff would otherwise refine every leaf to full depth (2^40 nodes).
+# benchmark's domain was 5,866, and rel_tol 1e-15 on the reference section
+# takes about 25,000; a tolerance below roundoff would otherwise refine every
+# leaf to full depth (2^40 nodes).
 _SIMPSON_EVAL_BUDGET = 100_000
 _DEFAULT_GAUSS_PANELS = 512
 _GAUSS_PANEL_ORDER = 16

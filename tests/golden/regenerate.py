@@ -10,8 +10,10 @@ and record which files changed and by how much:
     PYTHONPATH=src python tests/golden/regenerate.py [case-prefix ...]
 
 With prefixes, only the cases whose name starts with one of them are
-rewritten.  Deep bites (L^2 < r^2 + r_w^2) are left out on purpose: their
-values are known to be wrong today, so pinning them would pin the defect.
+rewritten.  A deep bite (L^2 < r^2 + r_w^2) is pinned only for torque-curve
+and oracle-check, whose contour-integral moments are exact there; the
+section integral of stiffness and integral is still wrong on deep bites, so
+pinning those would pin the defect.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ _SHAPES = {
     "partial": ["--rw-ratio", "3", "--L-ratio", "3.5", "--gamma-deg", "45"],
     "full": ["--rw-ratio", "3", "--L-ratio", "4.2"],
 }
+_DEEP = ["--rw-ratio", "3", "--L-ratio", "3.05", "--gamma-deg", "45"]
 _COMMANDS = ("stiffness", "integral", "doe", "fit", "torque-curve", "oracle-check")
 _SHAPED_COMMANDS = ("stiffness", "integral", "torque-curve")
+_DEEP_COMMANDS = ("torque-curve", "oracle-check")
 
 
 def _cases() -> dict[str, list[str]]:
@@ -42,6 +46,8 @@ def _cases() -> dict[str, list[str]]:
         for cmd in _SHAPED_COMMANDS:
             for shape, flags in _SHAPES.items():
                 cases[f"{cmd}-{shape}.{ext}"] = [cmd, *flags, "--format", fmt]
+        for cmd in _DEEP_COMMANDS:
+            cases[f"{cmd}-deep.{ext}"] = [cmd, *_DEEP, "--format", fmt]
     return cases
 
 

@@ -163,6 +163,18 @@ class TestFitCommand:
         assert out == ""
         assert "row 1" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("3,3.5,0.785,0.5", "row 1 has 4 cells"), ("3,3.5,abc,0.5,0.6", "row 1 holds a non-numeric cell")],
+    )
+    def test_malformed_csv_row_exit_2(self, capsys, tmp_path, row, message):
+        target = tmp_path / "map.csv"
+        target.write_text(f"rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n{row}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["fit", "--doe-csv", str(target)])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_contradicting_x_csv_exit_2(self, capsys, tmp_path):
         target = tmp_path / "map.csv"
         target.write_text("rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.9,0.6\n", encoding="utf-8")
@@ -207,6 +219,23 @@ class TestTorqueCurveCommand:
     def test_bad_alpha_max_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["torque-curve", "--alpha-max", "3.0"])
         assert code == 2
+
+
+class TestTorqueCommandsTakeNoQuadrature:
+    """torque-curve and oracle-check use a fixed rule: no quadrature flags, no meta block."""
+
+    @pytest.mark.parametrize("command", ["torque-curve", "oracle-check"])
+    @pytest.mark.parametrize("flag", [["--scheme", "gauss-legendre"], ["--rel-tol", "1e-8"], ["--max-refine", "8"]])
+    def test_quadrature_flags_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["torque-curve", "oracle-check"])
+    def test_json_meta_has_no_quadrature(self, capsys, command):
+        _, out, _ = run_cli(capsys, [command, "--format", "json"])
+        assert json.loads(out)["meta"] == {"version": "0.1.0"}
 
 
 class TestOracleCheckCommand:

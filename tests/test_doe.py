@@ -213,6 +213,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="row 2"):
             DoeTable.from_csv(text)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,3.5,0.785,0.5", "CSV row 2 has 4 cells, expected 5"),
+            ("3,3.5,0.785,0.5,0.6,1", "CSV row 2 has 6 cells, expected 5"),
+            ("3,3.5,0.785,0.5,abc", "CSV row 2 holds a non-numeric cell"),
+            ("3,,0.785,0.5,0.6", "CSV row 2 holds a non-numeric cell"),
+        ],
+    )
+    def test_csv_malformed_row_is_named(self, row, message):
+        text = f"rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.5,0.6\n{row}\n"
+        with pytest.raises(ValueError, match=message):
+            DoeTable.from_csv(text)
+
     def test_csv_rejects_contradicting_x(self):
         """x must equal L_ratio - rw_ratio; it used to be read and silently dropped."""
         text = "rw_ratio,L_ratio,gamma_rad,x,I_over_r4\n3,3.5,0.785,0.5,0.6\n3,3.5,0.785,0.9,0.6\n"

@@ -86,3 +86,47 @@ class TestOracleTorque:
         t_full = oracle_torque(circular_ring, 0.01, GridSpec(256, 256))
         t_bitten = oracle_torque(real_ring, 0.01, GridSpec(256, 256))
         assert t_bitten < t_full
+
+
+# The oracle at 64^2 and 400^2, as computed with a meshgrid and n^2 cosines:
+# with 1-D trig tables broadcast through the same float operations, a section
+# that the bite circle does not cut gives the same bits.
+BIT_SHAPES = {
+    "uncut": SectionGeometry.circular(3.3),
+    "full": SectionGeometry.from_ratios(3.0, 4.2, PI / 4.0, r=3.3),
+}
+BIT_VALUES = {
+    (64, "uncut", 0.001): 6.601875587111577,
+    (64, "uncut", -0.15): -988.4264258468193,
+    (64, "full", 0.001): 6.601875587111577,
+    (64, "full", -0.15): -988.4264258468193,
+    (400, "uncut", 0.001): 6.60266098663492,
+    (400, "uncut", -0.15): -988.5440151733598,
+    (400, "full", 0.001): 6.60266098663492,
+    (400, "full", -0.15): -988.5440151733598,
+}
+
+
+@pytest.mark.parametrize("n, kind, alpha", sorted(BIT_VALUES))
+def test_bit_identical_to_meshgrid_oracle(n, kind, alpha):
+    ring = WireRing(REF_R, REF_Z, REF_E, BIT_SHAPES[kind])
+    assert oracle_torque(ring, alpha, GridSpec(n, n)) == BIT_VALUES[n, kind, alpha]
+
+
+# Deep bites 0.045 and 0.021 inside the deep-bite boundary L^2 = r^2 + r_w^2,
+# as (r_w/r, L/r, gamma, R, Z, E, r, alpha): counting each cell by its center
+# alone, the 800^2 oracle missed the exact torque by 1.26e-3 and 1.18e-3.
+NEAR_BOUNDARY = [
+    (2.53953, 2.68457, 3.10626, 143.929, 75, 198959.0, 1.20061, 0.131234),
+    (3.74383, 3.85442, 6.1098, 164.909, 107, 197244.0, 2.59076, 0.0696687),
+]
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("case", NEAR_BOUNDARY)
+def test_sub_cells_near_the_bite_circle(case, n):
+    """Sub-sampling the cells the bite circle cuts keeps the oracle within 1e-4."""
+    rw, lr, gamma, R, Z, E, r, alpha = case
+    ring = WireRing(R, Z, E, SectionGeometry.from_ratios(rw, lr, gamma, r=r))
+    exact = torque_full(ring, alpha)
+    assert abs(oracle_torque(ring, alpha, GridSpec(n, n)) - exact) / exact < 1e-4

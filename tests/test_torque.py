@@ -145,17 +145,17 @@ class TestTorqueCurve:
 
     @pytest.mark.parametrize("n_steps", [2, 3, 21, 101])
     def test_three_moments_for_any_step_count(self, real_ring, monkeypatch, n_steps):
-        """The whole curve costs three section-moment quadratures."""
-        phis = []
-        moment = torque_module._moment
+        """The whole curve costs one evaluation of the three section moments."""
+        calls = []
+        moments = torque_module._moments
 
-        def counting(ring, phi, quad):
-            phis.append(phi)
-            return moment(ring, phi, quad)
+        def counting(ring):
+            calls.append(ring)
+            return moments(ring)
 
-        monkeypatch.setattr(torque_module, "_moment", counting)
+        monkeypatch.setattr(torque_module, "_moments", counting)
         torque_curve(real_ring, 0.1, n_steps=n_steps)
-        assert phis == [0.0, PI / 4.0, PI / 2.0]
+        assert calls == [real_ring]
 
 
 CURVE_SECTIONS = {
@@ -179,3 +179,46 @@ class TestCurveFromMoments:
         a = 1e-4
         secant = 0.5 * (torque_full(ring, a) / a + torque_full(ring, -a) / -a)
         assert torque_curve(ring, 0.1, n_steps=3).K_origin == pytest.approx(secant, rel=1e-7)
+
+
+# Deep bites (L^2 < r^2 + r_w^2): rays near the bite arc pass through the bite
+# and re-enter the material, which the old polar split missed by up to 7%.
+# Values from the benchmark's exact ray-interval reference on the reference
+# ring, alphas (-0.1, -0.05, 0.05, 0.1), made with
+#   cd bench && python -c "import math; from reference import torque_ref; [print(s, (t := torque_ref(227.0, 82, 210000.0, [-0.1, -0.05, 0.05, 0.1], 3.3, s[0]*3.3, s[1]*3.3, math.radians(s[2])))[0].tolist(), t[1]) for s in [(3, 3.05, 45), (1.2, 1.25, 0), (0.5, 0.55, 90)]]"
+DEEP_REFERENCE = {
+    (3.0, 3.05, 45.0): (
+        (-376.17062831600646, -187.20342746657286, 185.2035574173985, 368.1861377731511),
+        3724.832090760575,
+    ),
+    (1.2, 1.25, 0.0): (
+        (-488.2970923626351, -244.43872702707614, 244.43872702707614, 488.2970923626351),
+        4890.710947596929,
+    ),
+    (0.5, 0.55, 90.0): (
+        (-436.5733125034894, -218.26006842663264, 218.27634146317044, 436.638282678123),
+        4365.131206921486,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_REFERENCE))
+class TestDeepBite:
+    @staticmethod
+    def _ring(shape):
+        rw, lr, gamma_deg = shape
+        section = SectionGeometry.from_ratios(rw, lr, math.radians(gamma_deg), r=3.3)
+        return WireRing(REF_R, REF_Z, REF_E, section)
+
+    def test_curve_matches_reference(self, shape):
+        torques, k_origin = DEEP_REFERENCE[shape]
+        curve = torque_curve(self._ring(shape), 0.1, n_steps=5)
+        got = [t for a, t in curve.samples if a != 0.0]
+        assert got == pytest.approx(torques, rel=1e-10, abs=0.0)
+        assert curve.K_origin == pytest.approx(k_origin, rel=1e-10, abs=0.0)
+
+    def test_torque_full_matches_reference(self, shape):
+        torques, _ = DEEP_REFERENCE[shape]
+        ring = self._ring(shape)
+        got = [torque_full(ring, a) for a in (-0.1, -0.05, 0.05, 0.1)]
+        assert got == pytest.approx(torques, rel=1e-10, abs=0.0)
