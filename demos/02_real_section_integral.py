@@ -1,13 +1,14 @@
-"""The real wire-race section: bite geometry and the split section integral.
+"""The real wire-race section: bite geometry and the section integral.
 
 A real raceway wire is a circle of radius r with a conformal groove (the
 "bite") machined into it: a second circle of radius r_w centered at distance
 L from the section center, at angle gamma.  The stiffness-governing integral
 
-    I = II rho^3 sin^2(theta) d(rho) d(theta)
+    I = II y^2 dA = contour integral of x y^2 dy
 
-splits into a closed form over the uncut arc plus a 1-D quadrature along the
-bite arc, where the rho-limit follows the bite boundary rho(theta).
+(Green's theorem) is summed along the section's boundary: the section-circle
+arc outside the bite and the bite arc inside the section, which meet at the
+ends of the common chord.
 """
 
 import math
@@ -16,7 +17,6 @@ from wiretwist import (
     SectionGeometry,
     WireRing,
     classify_section,
-    rho_of_theta,
     section_integral,
     stiffness_circular,
     stiffness_engineering,
@@ -32,23 +32,18 @@ def main():
     print(f"classification: {classify_section(sec).value}")
 
     t1, t2 = theta_limits(sec)
-    print(f"bite arc: theta1={t1:.4f} rad, theta2={t2:.4f} rad "
-          f"(spans {math.degrees(t2 - t1):.1f} deg)\n")
-
-    print("bite boundary rho(theta) across the arc:")
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        theta = t1 + frac * (t2 - t1)
-        print(f"  theta = {theta:+.4f} rad ->  rho = {rho_of_theta(sec, theta):.4f} mm")
-    print("  (rho dips to L - r_w = 1.65 mm at the groove bottom, theta = gamma)\n")
+    print(f"the bite cuts the rim between theta1={t1:.4f} rad and theta2={t2:.4f} rad "
+          f"(spans {math.degrees(t2 - t1):.1f} deg);")
+    print(f"the groove bottom lies at L - r_w = {sec.L - sec.r_w:.2f} mm from the centre\n")
 
     integ = section_integral(sec)
     r4 = sec.r**4
-    print("section integral:")
-    print(f"  uncut arc (closed form) = {integ.full_arc:.6f} mm^4")
-    print(f"  bite arc  (quadrature)  = {integ.bite_arc:.6f} mm^4  "
-          f"(error estimate {integ.est_error:.1e})")
-    print(f"  total                   = {integ.total:.6f} mm^4   I/r^4 = {integ.total / r4:.9f}")
-    print(f"  full circle would give    {math.pi * r4 / 4:.6f} mm^4\n")
+    print("section integral, by boundary arc:")
+    print(f"  section-circle arc = {integ.full_arc:.6f} mm^4")
+    print(f"  bite arc           = {integ.bite_arc:.6f} mm^4  "
+          f"(rounding bound {integ.est_error:.1e})")
+    print(f"  total              = {integ.total:.6f} mm^4   I/r^4 = {integ.total / r4:.9f}")
+    print(f"  full circle gives    {math.pi * r4 / 4:.6f} mm^4\n")
 
     ring = WireRing(227.0, 82, 210000.0, sec)
     k_num = stiffness_from_integral(ring, integ.total)

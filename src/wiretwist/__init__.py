@@ -5,8 +5,9 @@ elements load the conformal groove machined into it.  This package models
 that twisting stiffness from a fibre-stretch deformation assumption:
 
 * exact finite-angle torque by virtual work over the real cross-section,
-* the small-angle stiffness constant K_T = (beta E / R) I with the polar
-  section integral I split into a closed form plus 1-D quadrature,
+* the small-angle stiffness constant K_T = (beta E / R) I, with the section
+  integral I and the torque's moments summed over one walk along the
+  section's two boundary arcs (Green's theorem, a fixed Gauss-Legendre rule),
 * closed forms for the circular section and the fitted engineering formula,
 * a full-factorial map of I/r^4 with a constrained least-squares surrogate,
 * an independent brute-force differential-element oracle for cross-checks.
@@ -26,7 +27,6 @@ from .doe import (
 )
 from .errors import (
     DegenerateFitError,
-    DomainError,
     InvalidGeometryError,
     OutOfValidatedRangeWarning,
     QuadratureNotConvergedError,
@@ -38,16 +38,13 @@ from .geometry import (
     SectionKind,
     WireRing,
     classify_section,
-    rho_of_theta,
     theta_limits,
 )
 from .oracle import GridSpec, oracle_torque
-from .quadrature import QuadratureScheme, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec
 from .stiffness import (
     ENGINEERING_FIT_SLOPE,
     SectionIntegral,
-    integral_bite_arc,
-    integral_full_arc,
     section_integral,
     stiffness_circular,
     stiffness_engineering,
@@ -59,13 +56,11 @@ __all__ = [
     "DegenerateFitError",
     "DoeRow",
     "DoeTable",
-    "DomainError",
     "ENGINEERING_FIT_SLOPE",
     "GridSpec",
     "InvalidGeometryError",
     "OutOfValidatedRangeWarning",
     "QuadratureNotConvergedError",
-    "QuadratureScheme",
     "QuadratureSpec",
     "SectionClass",
     "SectionGeometry",
@@ -78,11 +73,7 @@ __all__ = [
     "classify_section",
     "delta_length",
     "fit_surrogate",
-    "integral_bite_arc",
-    "integral_full_arc",
-    "integrate",
     "oracle_torque",
-    "rho_of_theta",
     "run_doe",
     "section_integral",
     "stiffness_circular",

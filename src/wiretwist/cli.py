@@ -2,7 +2,7 @@
 
 Subcommands
     stiffness     closed-form / numeric / engineering stiffness side by side
-    integral      section-integral report (split, error estimate, limits)
+    integral      section-integral report (arc contributions, rounding bound, limits)
     doe           regenerate the full-factorial map of I/r^4 as CSV/JSON
     fit           fit the surrogate slope to a map (fresh or from CSV)
     torque-curve  sample the finite-angle torque curve, derive stiffnesses
@@ -11,10 +11,10 @@ Subcommands
 Every command runs with zero flags using the built-in reference ring
 (R=227 mm, r=3.3 mm, Z=82, E=210000 MPa, gamma=45 deg).  Numbers in CSV and
 JSON are rendered at 12 significant digits; identical inputs give
-byte-identical outputs.
+byte-identical outputs.  No command takes quadrature flags: every
+integral uses a fixed rule.
 
-Exit codes: 0 ok, 2 invalid input (or out of memory), 3 numeric failure,
-4 check failure.
+Exit codes: 0 ok, 2 invalid input (or out of memory), 4 check failure.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .doe import (
     fit_surrogate,
     run_doe,
 )
-from .errors import InvalidGeometryError, QuadratureNotConvergedError
+from .errors import InvalidGeometryError
 from .geometry import SectionGeometry, SectionKind, WireRing, classify_section, theta_limits
 from .oracle import GridSpec, oracle_torque
-from .quadrature import QuadratureScheme, QuadratureSpec
 from .stiffness import (
     section_integral,
     stiffness_circular,
@@ -54,11 +53,6 @@ DEFAULT_SECTION_RADIUS = 3.3  # mm
 DEFAULT_BALL_COUNT = 82
 DEFAULT_E_MODULUS = 210000.0  # MPa
 DEFAULT_GAMMA_DEG = 45.0
-
-_SCHEMES = {
-    "adaptive-simpson": QuadratureScheme.ADAPTIVE_SIMPSON,
-    "gauss-legendre": QuadratureScheme.GAUSS_LEGENDRE_COMPOSITE,
-}
 
 
 def _jnum(x: float) -> float:
@@ -90,15 +84,6 @@ def _ring_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _quad_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    g = p.add_argument_group("quadrature")
-    g.add_argument("--scheme", choices=sorted(_SCHEMES), default="adaptive-simpson")
-    g.add_argument("--rel-tol", type=float, default=1e-10, help="relative tolerance")
-    g.add_argument("--max-refine", type=int, default=None, help="depth / panel cap")
-    return p
-
-
 def _out_parent(default_format: str = "text") -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("output")
@@ -114,22 +99,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wiretwist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    ring, quad = _ring_parent(), _quad_parent()
+    ring = _ring_parent()
 
     p = sub.add_parser(
-        "stiffness", parents=[ring, quad, _out_parent()],
+        "stiffness", parents=[ring, _out_parent()],
         help="closed-form, numeric and engineering stiffness side by side",
     )
     p.set_defaults(func=cmd_stiffness)
 
     p = sub.add_parser(
-        "integral", parents=[ring, quad, _out_parent()],
-        help="section integral report (split parts, limits, error estimate)",
+        "integral", parents=[ring, _out_parent()],
+        help="section integral report (arc contributions, limits, rounding bound)",
     )
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser(
-        "doe", parents=[quad, _out_parent(default_format="csv")],
+        "doe", parents=[_out_parent(default_format="csv")],
         help="regenerate the factorial map of I/r^4",
     )
     p.add_argument("--rw-ratios", type=_float_list, default=list(DEFAULT_RW_RATIOS))
@@ -140,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_doe)
 
     p = sub.add_parser(
-        "fit", parents=[quad, _out_parent()],
+        "fit", parents=[_out_parent()],
         help="fit the surrogate slope to a factorial map",
     )
     p.add_argument("--doe-csv", default=None, help="fit this CSV instead of regenerating the map")
@@ -195,25 +180,6 @@ def _resolve_ring(args) -> WireRing:
     return WireRing(R=args.R, Z=args.Z, E=args.E, section=_resolve_section(args))
 
 
-def _resolve_quad(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        scheme=_SCHEMES[args.scheme],
-        rel_tol=args.rel_tol,
-        max_depth_or_panels=args.max_refine,
-    )
-
-
-def _meta(quad: QuadratureSpec | None = None) -> dict:
-    meta = {"version": __version__}
-    if quad is not None:
-        meta["quadrature"] = {
-            "scheme": quad.scheme.value,
-            "rel_tol": _jnum(quad.rel_tol),
-            "cap": quad.cap,
-        }
-    return meta
-
-
 def _ring_inputs(ring: WireRing) -> dict:
     sec = ring.section
     inputs = {
@@ -261,9 +227,9 @@ def _kv_csv(results: dict) -> str:
     return keys + "\n" + vals + "\n"
 
 
-def _render_report(inputs: dict, results: dict, quad: QuadratureSpec | None, fmt: str, text_lines: list[str]) -> str:
+def _render_report(inputs: dict, results: dict, fmt: str, text_lines: list[str]) -> str:
     if fmt == "json":
-        payload = {"inputs": inputs, "results": results, "meta": _meta(quad)}
+        payload = {"inputs": inputs, "results": results, "meta": {"version": __version__}}
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return _kv_csv(results)
@@ -277,10 +243,9 @@ def _forwarded_warnings(record: list[warnings.WarningMessage]) -> None:
 
 def cmd_stiffness(args) -> int:
     ring = _resolve_ring(args)
-    quad = _resolve_quad(args)
     sec = ring.section
 
-    integ = section_integral(sec, quad)
+    integ = section_integral(sec)
     k_numeric = stiffness_from_integral(ring, integ.total)
     circular_ring = WireRing(ring.R, ring.Z, ring.E, SectionGeometry.circular(sec.r))
     k_circular = stiffness_circular(circular_ring)
@@ -311,15 +276,14 @@ def cmd_stiffness(args) -> int:
     results["section_integral_mm4"] = _jnum(integ.total)
     lines.append(f"  numeric vs circular:    {_fmt((k_numeric - k_circular) / k_circular)} relative")
 
-    _emit(_render_report(_ring_inputs(ring), results, quad, args.format, lines), args.output)
+    _emit(_render_report(_ring_inputs(ring), results, args.format, lines), args.output)
     return 0
 
 
 def cmd_integral(args) -> int:
     ring = _resolve_ring(args)
-    quad = _resolve_quad(args)
     sec = ring.section
-    integ = section_integral(sec, quad)
+    integ = section_integral(sec)
     r4 = (sec.r * sec.r) * (sec.r * sec.r)
 
     results = {
@@ -331,7 +295,7 @@ def cmd_integral(args) -> int:
         "I_over_r4": _jnum(integ.total / r4),
     }
     lines = [
-        "section integral  I = II rho^3 sin^2(theta) d(rho) d(theta)",
+        "section integral  I = II y^2 dA = contour integral of x y^2 dy",
         f"  section: {_section_text(sec)}",
         f"  classification: {results['classification']}",
         f"  I          = {_fmt(integ.total)} mm^4",
@@ -346,7 +310,7 @@ def cmd_integral(args) -> int:
         results["theta2_rad"] = _jnum(t2)
         lines.insert(3, f"  bite arc limits: theta1={_fmt(t1)}, theta2={_fmt(t2)} rad")
 
-    _emit(_render_report(_ring_inputs(ring), results, quad, args.format, lines), args.output)
+    _emit(_render_report(_ring_inputs(ring), results, args.format, lines), args.output)
     return 0
 
 
@@ -359,9 +323,8 @@ def _doe_gammas(args) -> list[float]:
 
 
 def cmd_doe(args) -> int:
-    quad = _resolve_quad(args)
     gammas = _doe_gammas(args)
-    table = run_doe(args.rw_ratios, args.x_values, gammas, quad)
+    table = run_doe(args.rw_ratios, args.x_values, gammas)
 
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -375,7 +338,7 @@ def cmd_doe(args) -> int:
             payload = {
                 "inputs": inputs,
                 "results": {"rows": table.to_json_rows()},
-                "meta": _meta(quad),
+                "meta": {"version": __version__},
             }
             _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
         else:
@@ -391,12 +354,11 @@ def cmd_doe(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    quad = _resolve_quad(args)
     if args.doe_csv is not None:
         table = DoeTable.from_csv(Path(args.doe_csv).read_text(encoding="utf-8"))
         source = args.doe_csv
     else:
-        table = run_doe(quad=quad)
+        table = run_doe()
         source = "regenerated default grid"
     fit = fit_surrogate(table)
     max_abs = max(abs(float(v)) for v in fit.residuals)
@@ -425,7 +387,7 @@ def cmd_fit(args) -> int:
     inputs = {"source": source}
     if args.format == "json":
         results["residuals"] = [_jnum(v) for v in fit.residuals]
-    _emit(_render_report(inputs, results, quad, args.format, lines), args.output)
+    _emit(_render_report(inputs, results, args.format, lines), args.output)
     return 0
 
 
@@ -461,7 +423,7 @@ def cmd_torque_curve(args) -> int:
         "  alpha_rad      torque_Nmm",
     ]
     lines += [f"  {_fmt(a):>12}   {_fmt(t)}" for a, t in curve.samples]
-    _emit(_render_report(inputs, results, None, args.format, lines), args.output)
+    _emit(_render_report(inputs, results, args.format, lines), args.output)
     return 0
 
 
@@ -489,7 +451,7 @@ def cmd_oracle_check(args) -> int:
         f"  relative deviation = {_fmt(deviation)} (threshold {_fmt(args.threshold)})",
         f"  {'PASS' if passed else 'FAIL'}",
     ]
-    _emit(_render_report(inputs, results, None, args.format, lines), args.output)
+    _emit(_render_report(inputs, results, args.format, lines), args.output)
     return 0 if passed else 4
 
 
@@ -498,9 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuadratureNotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

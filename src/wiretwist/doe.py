@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import DegenerateFitError, OutOfValidatedRangeWarning
 from .geometry import SectionGeometry, SectionKind
-from .quadrature import QuadratureSpec
 from .stiffness import ENGINEERING_FIT_SLOPE, VALIDATED_X_RANGE, _surrogate_integral, section_integral
 
 CSV_HEADER = "rw_ratio,L_ratio,gamma_rad,x,I_over_r4"
@@ -106,7 +105,6 @@ def run_doe(
     rw_ratios=DEFAULT_RW_RATIOS,
     x_values=DEFAULT_X_VALUES,
     gammas=DEFAULT_GAMMAS,
-    quad: QuadratureSpec | None = None,
 ) -> DoeTable:
     """Evaluate I/r^4 on the full-factorial (gamma, x, r_w/r) grid.
 
@@ -118,7 +116,7 @@ def run_doe(
         for x in x_values:
             for rw in rw_ratios:
                 section = SectionGeometry.from_ratios(rw, rw + x, gamma)
-                value = section_integral(section, quad).total
+                value = section_integral(section).total
                 rows.append(
                     DoeRow(rw_ratio=rw, L_ratio=rw + x, gamma=gamma, I_over_r4=value)
                 )

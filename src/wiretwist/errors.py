@@ -5,25 +5,12 @@ class InvalidGeometryError(ValueError):
     """A section or ring violates a geometric invariant (message names it)."""
 
 
-class DomainError(ValueError):
-    """A polar angle lies outside the arc where the groove boundary exists."""
-
-
 class WrongSectionKindError(ValueError):
     """An operation was called on a section kind it is not defined for."""
 
 
 class QuadratureNotConvergedError(RuntimeError):
-    """Numerical integration could not reach the requested tolerance.
-
-    Carries the best available estimate and an error bound so callers can
-    decide whether to accept the degraded result.
-    """
-
-    def __init__(self, message: str, best_estimate: float, error_bound: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
+    """Never raised (no integral is adaptive); importable until the benchmark stops catching it."""
 
 
 class DegenerateFitError(ValueError):

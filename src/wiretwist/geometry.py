@@ -1,22 +1,19 @@
-"""Wire cross-section and ring geometry.
+"""Wire cross-section and ring geometry, and the walk along the section's boundary.
 
 The raceway wire has a circular cross-section of radius ``r`` from which a
 conformal groove (the "bite") may be machined to seat the rolling element:
 a second circle of radius ``r_w`` centered at distance ``L`` from the
-section center, at polar angle ``gamma``.  Everything here works in polar
-coordinates ``(rho, theta)`` attached to the section center.
+section center, at polar angle ``gamma``.  Coordinates ``(x, y)`` are
+attached to the section center, ``x`` pointing away from the ring axis.
 
 Units are fixed throughout the package: mm, N, MPa, rad.
 
-Key relations (law of cosines against the bite center):
-
-    r_w^2 = L^2 + rho^2 - 2 L rho cos(gamma - theta)
-
-solved for the near branch of the bite boundary
-
-    rho(theta) = L cos(gamma - theta) - sqrt(r_w^2 - L^2 sin^2(gamma - theta))
-
-and the bite arc ``[theta1, theta2]`` follows from rho(theta) = r.
+Every section quantity is an area integral II f dA turned by Green's
+theorem into the contour integral of P dy with dP/dx = f.  The boundary is
+the section-circle arc outside the bite, counter-clockwise, and the bite arc
+inside the section, clockwise; the arcs meet at the ends of the common chord.
+``boundary_walk`` returns fixed Gauss-Legendre nodes on both arcs, which is
+exact for every accepted section, deep bites (L^2 < r^2 + r_w^2) included.
 """
 
 from __future__ import annotations
@@ -26,10 +23,10 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidGeometryError, WrongSectionKindError
+from .errors import InvalidGeometryError, WrongSectionKindError
+from .quadrature import GAUSS_32
 
-# |u| slightly above 1 at the tangency boundary is floating-point noise.
-TANGENCY_TOL = 1e-12
+_GRADING = 0.25  # length ratio of consecutive panels toward the point nearest the ring axis
 
 
 def _is_real(value) -> bool:
@@ -174,40 +171,15 @@ def classify_section(section: SectionGeometry) -> SectionClass:
     return SectionClass.PARTIAL_BITE
 
 
-def rho_of_theta(section: SectionGeometry, theta: float) -> float:
-    """Polar radius of the bite boundary at angle ``theta`` [mm].
-
-    Near branch of the law-of-cosines quadratic:
-
-        rho(theta) = L cos(gamma - theta) - sqrt(r_w^2 - L^2 sin^2(gamma - theta))
-
-    Valid for PARTIAL_BITE sections and theta inside the bite arc; raises
-    DomainError when the square-root argument is negative (theta outside
-    the arc subtended by the bite).  Tiny negative arguments from roundoff
-    at the arc edges are clamped to zero.
-    """
-    if section.kind is not SectionKind.WIRE_RACE:
-        raise WrongSectionKindError("rho_of_theta requires a wire-race section")
-    L, r_w, gamma = section.L, section.r_w, section.gamma
-    s = L * math.sin(gamma - theta)
-    disc = r_w * r_w - s * s
-    if disc < -TANGENCY_TOL * r_w * r_w:
-        raise DomainError(
-            f"theta={theta} lies outside the bite arc (sqrt argument {disc} < 0)"
-        )
-    return L * math.cos(gamma - theta) - math.sqrt(max(disc, 0.0))
-
-
 def theta_limits(section: SectionGeometry) -> tuple[float, float]:
-    """Angular limits ``(theta1, theta2)`` of the bite arc, where rho(theta) = r.
+    """Polar angles ``(theta1, theta2)`` where the bite circle crosses the section circle.
 
         theta_{1,2} = gamma -/+ arccos(u),
         u = (1 + (L/r)^2 - (r_w/r)^2) / (2 L/r)
 
-    ``|u|`` marginally above 1 (tangency, within 1e-12) is clamped to 1.
-    For a bite that does not reach the section at all the arc is empty and
-    the limits collapse to ``(gamma, gamma)``, which keeps the downstream
-    integrals continuous across the full-circle boundary.
+    ``u`` above 1 (a bite that misses the section) is clamped to 1, so the
+    limits collapse to ``(gamma, gamma)``.  Only the ``integral`` report
+    prints them; no computation uses them.
     """
     if section.kind is not SectionKind.WIRE_RACE:
         raise WrongSectionKindError("theta_limits requires a wire-race section")
@@ -221,3 +193,67 @@ def theta_limits(section: SectionGeometry) -> tuple[float, float]:
         u = -1.0
     half = math.acos(u)
     return section.gamma - half, section.gamma + half
+
+
+Node = tuple[float, float, float]  # (x, y, Gauss weight times dy/dtau)
+
+
+def boundary_walk(section: SectionGeometry, R: float | None = None) -> tuple[list[Node], list[Node]]:
+    """Gauss nodes on the section's boundary: ``(outer, bite)``.
+
+    ``outer`` runs counter-clockwise along the section-circle arc outside the
+    bite, ``bite`` clockwise along the bite arc inside the section (its
+    weights carry the sign); for an uncut section ``bite`` is empty.  For
+    any ``P``, the contour integral of P dy is the sum of ``P(x, y) * wdy``
+    over both lists.
+
+    Both arcs are written about their apex on the bite axis, so nothing
+    cancels at large r_w/r, and take 32-point Gauss-Legendre panels.  Given a
+    ring radius ``R``, the panels are graded toward the point of smallest
+    R + x, where an integrand with 1/(R + x) is near-singular as R/r
+    approaches 1; without it each arc takes one panel on each side of its
+    apex, exact to rounding for the polynomial integrands of area moments.
+    """
+    r = section.r
+    if classify_section(section) is SectionClass.FULL_CIRCLE:
+        return _arc(R, 0.0, -r, r, -math.pi, math.pi, 1.0), []
+    L, r_w, gamma = section.L, section.r_w, section.gamma
+    # common chord: distance d from the section centre, half-length h; r - (L - r_w) > 0 is the bite depth
+    d = ((L - r_w) * (L + r_w) + r * r) / (2.0 * L)
+    h = math.sqrt(max((r + d) * (r - (L - r_w)) * (r_w + L - r) / (2.0 * L), 0.0))
+    outer = _arc(R, gamma, -r, r, math.atan2(h, d) - math.pi, math.pi - math.atan2(h, d), 1.0)
+    half = math.atan2(h, ((L - r) * (L + r) + r_w * r_w) / (2.0 * L))  # half-angle at the bite centre
+    return outer, _arc(R, gamma, L - r_w, r_w, -half, half, -1.0)
+
+
+def _arc(R: float | None, gamma: float, apex: float, radius: float, lo: float, hi: float, sign: float) -> list[Node]:
+    """Nodes for tau from lo to hi along the circle about s = apex + radius in the
+    bite frame (s along the bite axis at angle gamma, w across it):
+    s = apex + 2 radius sin^2(tau/2), w = -radius sin(tau)."""
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    if R is None:
+        edges = sorted({lo, 0.0, hi})  # one panel on each side of the apex
+    else:
+        # Panels shrink by _GRADING toward t_star, the point of smallest R + x
+        # (tau = -gamma or the nearer end), down to the tau-distance to its zero.
+        t_star = min(max(-math.remainder(gamma, 2.0 * math.pi), lo), hi)
+        s_star = apex + 2.0 * radius * math.sin(0.5 * t_star) ** 2
+        depth = max(R + s_star * cg + radius * math.sin(t_star) * sg, 0.0) / radius
+        reach = max(min(depth, math.sqrt(2.0 * depth)), 1e-15)
+        cuts = {lo, hi, t_star}
+        for end in (lo, hi):
+            span = end - t_star
+            while abs(span) > reach:
+                span *= _GRADING
+                cuts.add(t_star + span)
+        edges = sorted(cuts)
+
+    nodes = []
+    for a, b in zip(edges, edges[1:]):
+        mid, half = 0.5 * (b + a), 0.5 * (b - a)
+        for t, weight in GAUSS_32:
+            tau = mid + half * t
+            s, w = apex + 2.0 * radius * math.sin(0.5 * tau) ** 2, -radius * math.sin(tau)
+            wdy = sign * (half * weight) * -radius * math.cos(tau + gamma)
+            nodes.append((s * cg - w * sg, s * sg + w * cg, wdy))
+    return nodes

@@ -13,12 +13,9 @@ where x^2/2 - R x + R^2 ln(R + x) would lose (R/r)^2 in relative accuracy)
 
     P0, Pc = R^2 g(u) +/- y^2 log1p u,    Ps = 2 y R (u^2/2 - g(u)).
 
-The boundary is the section-circle arc outside the bite, counter-clockwise,
-and the bite arc inside the section, clockwise: exact for every accepted
-section, deep bites (L^2 < r^2 + r_w^2) included.  Both arcs are written
-about their apex on the bite axis, so nothing cancels at large r_w/r, and
-take fixed 32-point Gauss-Legendre panels graded toward the point of
-smallest R + x, where P is near-singular as R/r approaches 1.
+The contour is ``geometry.boundary_walk`` with the ring radius, whose panels
+grade toward the point of smallest R + x, where P is near-singular as R/r
+approaches 1: exact for every accepted section, deep bites included.
 
 T(0) := 0.  K_origin = beta E M(0) = beta E II y^2/(R + x) dA is exact, with
 beta E I / R its thin-ring limit.  Secant stiffnesses
@@ -31,15 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .geometry import SectionKind, WireRing
-from .quadrature import _gauss_rule
+from .geometry import WireRing, boundary_walk
 
 if TYPE_CHECKING:
     import numpy as np
 
-_GRADING = 0.25  # length ratio of consecutive panels toward the near-singular point
-# g(u) = log1p u - u + u^2/2 = u^3 sum_j (-u)^j / (j + 3); for |u| < 0.25, 28 terms reach 1e-17
-_SERIES_COEFFS = tuple(1.0 / (j + 3) for j in range(28))
+# g(u) = log1p u - u + u^2/2 = u^3 sum_j (-u)^j / (j + 3); for |u| < 0.25, 28 terms reach 1e-17.
+# Highest power first, for Horner's rule.
+_SERIES_COEFFS = tuple(1.0 / (j + 3) for j in reversed(range(28)))
 
 
 @dataclass(frozen=True)
@@ -74,55 +70,24 @@ def delta_length(rho: float, theta: float, alpha: float, ring: WireRing) -> floa
     return ring.beta * rho * (math.cos(theta + alpha) - math.cos(theta))
 
 
-def _arc_moments(R: float, gamma: float, apex: float, radius: float, lo: float, hi: float):
-    """Integrals of (P0, Pc, Ps) dy, tau from lo to hi, along the circle about
-    s = apex + radius in the bite frame (s along the bite axis at angle gamma):
-    s = apex + 2 radius sin^2(tau/2), w = -radius sin(tau)."""
-    import numpy as np
-
-    # Panels shrink by _GRADING toward t_star, the point of smallest R + x
-    # (tau = -gamma or the nearer end), down to the tau-distance to its zero.
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    t_star = min(max(-math.remainder(gamma, 2.0 * math.pi), lo), hi)
-    s_star = apex + 2.0 * radius * math.sin(0.5 * t_star) ** 2
-    depth = max(R + s_star * cg + radius * math.sin(t_star) * sg, 0.0) / radius
-    reach = max(min(depth, math.sqrt(2.0 * depth)), 1e-15)
-    edges = {lo, hi, t_star}
-    for end in (lo, hi):
-        span = end - t_star
-        while abs(span) > reach:
-            span *= _GRADING
-            edges.add(t_star + span)
-    edges = np.array(sorted(edges))
-
-    nodes, weights = (np.array(v) for v in _gauss_rule(32))
-    half = 0.5 * np.diff(edges)[:, None]
-    tau = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half * nodes).ravel()
-    wdy = (half * weights).ravel() * -radius * np.cos(tau + gamma)  # weight times dy/dtau
-    s, w = apex + 2.0 * radius * np.sin(0.5 * tau) ** 2, -radius * np.sin(tau)
-    x, y = s * cg - w * sg, s * sg + w * cg
-
-    u = x / R
-    lg = np.log1p(u)
-    series = np.polynomial.polynomial.polyval(-u, _SERIES_COEFFS)
-    g = np.where(np.abs(u) < 0.25, u * u * u * series, lg - u + 0.5 * u * u)
-    base, y2lg = R * R * g, y * y * lg
-    return wdy @ (base + y2lg), wdy @ (base - y2lg), wdy @ (2.0 * R * y * (0.5 * u * u - g))
-
-
 def _moments(ring: WireRing) -> tuple[float, float, float]:
     """The alpha-free section moments (M0, Mc, Ms) [mm^3], see the module docstring."""
-    sec, R, r = ring.section, ring.R, ring.section.r
-    if sec.kind is SectionKind.CIRCULAR or sec.L - sec.r_w >= r:
-        return tuple(float(m) for m in _arc_moments(R, 0.0, -r, r, -math.pi, math.pi))
-    L, r_w, gamma = sec.L, sec.r_w, sec.gamma
-    # common chord: distance d from the section centre, half-length h; r - (L - r_w) > 0 is the bite depth
-    d = ((L - r_w) * (L + r_w) + r * r) / (2.0 * L)
-    h = math.sqrt(max((r + d) * (r - (L - r_w)) * (r_w + L - r) / (2.0 * L), 0.0))
-    outer = _arc_moments(R, gamma, -r, r, math.atan2(h, d) - math.pi, math.pi - math.atan2(h, d))
-    bite = math.atan2(h, ((L - r) * (L + r) + r_w * r_w) / (2.0 * L))  # half-angle at the bite centre
-    inner = _arc_moments(R, gamma, L - r_w, r_w, -bite, bite)  # taken clockwise below
-    return tuple(float(a - b) for a, b in zip(outer, inner))
+    R = ring.R
+    terms = []
+    for arc in boundary_walk(ring.section, R):
+        for x, y, wdy in arc:
+            u = x / R
+            lg = math.log1p(u)
+            if abs(u) < 0.25:
+                series = 0.0
+                for c in _SERIES_COEFFS:
+                    series = c + series * -u
+                g = u * u * u * series
+            else:
+                g = lg - u + 0.5 * u * u
+            base, y2lg = R * R * g, y * y * lg
+            terms.append((wdy * (base + y2lg), wdy * (base - y2lg), wdy * (2.0 * R * y * (0.5 * u * u - g))))
+    return tuple(math.fsum(column) for column in zip(*terms))
 
 
 def _torque(ring: WireRing, alpha: float, moments: tuple[float, float, float]) -> float:
@@ -136,8 +101,8 @@ def torque_full(ring: WireRing, alpha: float, quad=None) -> float:
     """Twisting moment at finite angle ``alpha`` [N*mm]; T(0) = 0 by continuity.
 
     Requires |alpha| < pi/2 (beyond that the fibre-stretch deformation
-    assumption is meaningless).  ``quad`` is accepted and ignored: the
-    moments use a fixed rule and need no quadrature policy.
+    assumption is meaningless).  ``quad`` is accepted and ignored until the
+    benchmark stops passing it.
     """
     if not abs(alpha) < math.pi / 2.0:
         raise ValueError(f"twist angle must satisfy |alpha| < pi/2, got {alpha}")
@@ -146,13 +111,13 @@ def torque_full(ring: WireRing, alpha: float, quad=None) -> float:
     return _torque(ring, alpha, _moments(ring))
 
 
-def torque_curve(ring: WireRing, alpha_max: float, n_steps: int = 21, quad=None) -> TorqueCurve:
+def torque_curve(ring: WireRing, alpha_max: float, n_steps: int = 21) -> TorqueCurve:
     """Sample T(alpha) on [-alpha_max, +alpha_max] and derive stiffness constants.
 
     The grid is uniform and always contains alpha = 0 (an even ``n_steps``
     is rounded up to the next odd count).  Every sample comes from one
     evaluation of the section moments, so each equals ``torque_full``;
-    K_origin = beta E (M0 - Mc)/2 exactly.  ``quad`` is accepted and ignored.
+    K_origin = beta E (M0 - Mc)/2 exactly.
     """
     if not (0.0 < alpha_max < math.pi / 2.0):
         raise ValueError(f"alpha_max must lie in (0, pi/2), got {alpha_max}")

@@ -10,10 +10,8 @@ and record which files changed and by how much:
     PYTHONPATH=src python tests/golden/regenerate.py [case-prefix ...]
 
 With prefixes, only the cases whose name starts with one of them are
-rewritten.  A deep bite (L^2 < r^2 + r_w^2) is pinned only for torque-curve
-and oracle-check, whose contour-integral moments are exact there; the
-section integral of stiffness and integral is still wrong on deep bites, so
-pinning those would pin the defect.
+rewritten.  A deep bite (L^2 < r^2 + r_w^2) is pinned for every command
+that takes a section.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ _SHAPES = {
 _DEEP = ["--rw-ratio", "3", "--L-ratio", "3.05", "--gamma-deg", "45"]
 _COMMANDS = ("stiffness", "integral", "doe", "fit", "torque-curve", "oracle-check")
 _SHAPED_COMMANDS = ("stiffness", "integral", "torque-curve")
-_DEEP_COMMANDS = ("torque-curve", "oracle-check")
+_DEEP_COMMANDS = ("stiffness", "integral", "torque-curve", "oracle-check")
 
 
 def _cases() -> dict[str, list[str]]:

@@ -1,4 +1,4 @@
-"""Section/ring construction, classification and bite-boundary geometry."""
+"""Section/ring construction, classification and the walk along the section boundary."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ import pytest
 
 from wiretwist import (
     InvalidGeometryError,
-    DomainError,
     SectionClass,
     SectionGeometry,
     WireRing,
     WrongSectionKindError,
     classify_section,
-    rho_of_theta,
     theta_limits,
 )
+from wiretwist.geometry import boundary_walk
 
 PI = math.pi
 
@@ -102,66 +101,35 @@ class TestClassifySection:
             assert classify_section(scaled) is classify_section(base)
 
 
-class TestRhoOfTheta:
-    def test_symmetry_axis_value(self, real_section):
-        """At theta = gamma: rho = L - r_w (1.65 mm for the reference section)."""
-        rho = rho_of_theta(real_section, real_section.gamma)
-        assert rho == pytest.approx(1.65, abs=1e-12)
+class TestBoundaryWalk:
+    SHAPES = [(3.0, 0.5, PI / 4), (3.0, 0.05, PI / 4), (0.5, 0.001, PI / 2), (1e6, 0.3, 2.0)]
 
-    def test_equals_r_at_arc_limits(self, real_section):
-        t1, t2 = theta_limits(real_section)
-        assert rho_of_theta(real_section, t1) == pytest.approx(real_section.r, rel=1e-12)
-        assert rho_of_theta(real_section, t2) == pytest.approx(real_section.r, rel=1e-12)
-
-    def test_against_quadratic_root(self):
-        """The closed form must match the smaller positive root of the
-        law-of-cosines quadratic, solved independently."""
-        sec = SectionGeometry.from_ratios(3.0, 3.5, PI / 4)
-        theta = sec.gamma - 0.5
-        roots = np.roots(
-            [1.0, -2.0 * sec.L * math.cos(sec.gamma - theta), sec.L**2 - sec.r_w**2]
-        )
-        expected = min(root for root in roots.real if root > 0)
-        assert rho_of_theta(sec, theta) == pytest.approx(expected, rel=1e-12)
-        assert rho_of_theta(sec, theta) == pytest.approx(0.5847033, abs=1e-6)
-
-    def test_domain_error_outside_bite_arc(self, real_section):
-        """Perpendicular to the bite direction the ray misses the bite circle
-        entirely (|sin(gamma - theta)| > r_w/L) and the sqrt argument is
-        negative."""
-        with pytest.raises(DomainError):
-            rho_of_theta(real_section, real_section.gamma + PI / 2.0)
-
-    def test_wrong_kind(self, circular_section):
-        with pytest.raises(WrongSectionKindError):
-            rho_of_theta(circular_section, 0.0)
-
-    def test_law_of_cosines_residual(self):
-        """rho plugged back into the law of cosines: residual < 1e-9 r_w^2."""
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            rw = rng.uniform(1.5, 4.0)
-            x = rng.uniform(0.05, 0.95)
-            gamma = rng.uniform(0.0, 2.0 * PI)
+    @pytest.mark.parametrize("R", [None, 1.05, 227.0])
+    def test_nodes_lie_on_their_circles(self, R):
+        """Outer nodes at distance r from the centre, bite nodes at r_w from the bite centre."""
+        for rw, x, gamma in self.SHAPES:
             sec = SectionGeometry.from_ratios(rw, rw + x, gamma)
-            t1, t2 = theta_limits(sec)
-            for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
-                theta = t1 + frac * (t2 - t1)
-                rho = rho_of_theta(sec, theta)
-                residual = sec.r_w**2 - (
-                    sec.L**2 + rho**2 - 2.0 * sec.L * rho * math.cos(sec.gamma - theta)
-                )
-                assert abs(residual) < 1e-9 * sec.r_w**2
-                assert 0.0 < rho <= sec.r * (1.0 + 1e-12)
+            outer, bite = boundary_walk(sec, R)
+            cx, cy = sec.L * math.cos(gamma), sec.L * math.sin(gamma)
+            assert all(abs(math.hypot(px, py) - 1.0) < 1e-14 for px, py, _ in outer)
+            assert all(abs(math.hypot(px - cx, py - cy) - sec.r_w) < 1e-14 * sec.r_w for px, py, _ in bite)
+            # the outer arc stays out of the bite, the bite arc inside the section
+            assert all(math.hypot(px - cx, py - cy) >= sec.r_w * (1.0 - 1e-14) for px, py, _ in outer)
+            assert all(math.hypot(px, py) <= 1.0 + 1e-14 for px, py, _ in bite)
 
-    def test_minimum_at_gamma(self):
-        """rho is minimal at theta = gamma, with value L - r_w."""
-        sec = SectionGeometry.from_ratios(2.5, 3.1, 1.2)
-        t1, t2 = theta_limits(sec)
-        thetas = np.linspace(t1, t2, 201)
-        rhos = np.array([rho_of_theta(sec, t) for t in thetas])
-        assert rhos.min() == pytest.approx(sec.L - sec.r_w, rel=1e-9)
-        assert abs(thetas[rhos.argmin()] - sec.gamma) < (t2 - t1) / 200.0
+    @pytest.mark.parametrize("R", [None, 1.05, 227.0])
+    def test_contour_encloses_the_section_area(self, R):
+        """The contour integral of x dy is the area, pi r^2 less the lens."""
+        for rw, x, gamma in self.SHAPES:
+            sec = SectionGeometry.from_ratios(rw, rw + x, gamma)
+            L = sec.L
+            d = ((L - rw) * (L + rw) + 1.0) / (2.0 * L)  # common chord: distance, half-length h
+            h = math.sqrt(1.0 - d * d)
+            lens = math.acos(d) - d * h
+            phi = math.atan2(h, L - d)  # segment of the bite disk, with its small-angle series
+            lens += rw * rw * (phi - math.sin(phi) * math.cos(phi) if phi > 1e-3 else 2.0 * phi**3 / 3.0)
+            area = sum(px * wdy for arc in boundary_walk(sec, R) for px, _, wdy in arc)
+            assert area == pytest.approx(PI - lens, rel=1e-12)
 
 
 class TestThetaLimits:
@@ -175,12 +143,13 @@ class TestThetaLimits:
         assert t2 == pytest.approx(1.7037, abs=1e-4)
 
     def test_against_bisection_root(self):
-        """Limits must agree with a bisection solve of rho(theta) = r."""
+        """Limits must agree with a bisection solve for the rim point on the bite circle."""
         sec = SectionGeometry.from_ratios(3.0, 3.5, PI / 4)
         t1, t2 = theta_limits(sec)
 
         def f(theta):
-            return rho_of_theta(sec, theta) - sec.r
+            # squared distance of the rim point at theta from the bite centre, less r_w^2
+            return sec.L**2 + sec.r**2 - 2.0 * sec.L * sec.r * math.cos(sec.gamma - theta) - sec.r_w**2
 
         lo, hi = sec.gamma, t2 + 0.2 * (t2 - sec.gamma)
         for _ in range(200):

@@ -1,4 +1,4 @@
-"""Section integral (split + quadrature) and the stiffness closed forms."""
+"""Section integral (one boundary walk) and the stiffness closed forms."""
 
 from __future__ import annotations
 
@@ -7,22 +7,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretwist import (
     OutOfValidatedRangeWarning,
-    QuadratureScheme,
-    QuadratureSpec,
     SectionGeometry,
     WireRing,
     WrongSectionKindError,
-    integral_bite_arc,
-    integral_full_arc,
     section_integral,
     stiffness_circular,
     stiffness_engineering,
     stiffness_from_integral,
     surrogate_integral,
-    theta_limits,
 )
 from conftest import GAMMA_CLASSES, REF_E, REF_GAMMA, REF_R, REF_Z
 
@@ -32,7 +29,7 @@ PI = math.pi
 def brute_force_integral(section: SectionGeometry, n: int = 2000) -> float:
     """2-D midpoint Riemann sum of rho^3 sin^2(theta) over the material region.
 
-    Independent of the split/quadrature path: membership is decided per cell
+    Independent of the boundary walk: membership is decided per cell
     by distance from the bite center.
     """
     r = section.r
@@ -49,47 +46,33 @@ def brute_force_integral(section: SectionGeometry, n: int = 2000) -> float:
 
 
 class TestFullArcIntegral:
+    """The contribution of the section-circle arc."""
+
     def test_unit_circle(self):
-        assert integral_full_arc(SectionGeometry.circular(1.0)) == pytest.approx(PI / 4)
+        assert section_integral(SectionGeometry.circular(1.0)).full_arc == pytest.approx(PI / 4)
 
     def test_circular_reference(self):
-        value = integral_full_arc(SectionGeometry.circular(3.3))
+        value = section_integral(SectionGeometry.circular(3.3)).full_arc
         assert value == pytest.approx(PI * 3.3**4 / 4.0, rel=1e-14)
         assert value == pytest.approx(93.142, abs=1e-3)
 
-    def test_against_wedge_riemann_sum(self):
-        """Closed form vs a brute-force sum over the uncut wedge."""
-        sec = SectionGeometry.from_ratios(3.0, 3.5, PI / 4)
-        t1, t2 = theta_limits(sec)
-        n = 2500
-        rho = (np.arange(n) + 0.5) / n
-        theta = t2 + (np.arange(2 * n) + 0.5) * ((2.0 * PI + t1 - t2) / (2 * n))
-        P, T = np.meshgrid(rho, theta, indexing="ij")
-        brute = float(np.sum(P**3 * np.sin(T) ** 2)) * (1.0 / n) * ((2.0 * PI + t1 - t2) / (2 * n))
-        assert integral_full_arc(sec) == pytest.approx(brute, rel=1e-6)
-
     def test_full_circle_bite_case(self):
         sec = SectionGeometry.from_ratios(3.0, 4.0, PI / 4)
-        assert integral_full_arc(sec) == pytest.approx(PI / 4, rel=1e-14)
+        assert section_integral(sec).full_arc == pytest.approx(PI / 4, rel=1e-14)
 
 
 class TestBiteArcIntegral:
+    """The contribution of the bite arc."""
+
     def test_full_circle_returns_zero_exactly(self):
-        assert integral_bite_arc(SectionGeometry.from_ratios(2.0, 3.0, PI / 4)) == 0.0
+        assert section_integral(SectionGeometry.from_ratios(2.0, 3.0, PI / 4)).bite_arc == 0.0
 
     def test_r4_scaling_exact(self):
         """Same ratios at r and 2r: the integral scales by exactly 16."""
-        small = integral_bite_arc(SectionGeometry.from_ratios(3.0, 3.5, PI / 4, r=1.0))
-        large = integral_bite_arc(SectionGeometry.from_ratios(3.0, 3.5, PI / 4, r=2.0))
-        assert large == 16.0 * small
-
-    def test_gauss_backend_cross_check(self):
-        sec = SectionGeometry.from_ratios(2.5, 3.0, PI / 4)
-        simpson = integral_bite_arc(sec)
-        gauss = integral_bite_arc(
-            sec, QuadratureSpec(scheme=QuadratureScheme.GAUSS_LEGENDRE_COMPOSITE)
-        )
-        assert simpson == pytest.approx(gauss, rel=1e-10)
+        small = section_integral(SectionGeometry.from_ratios(3.0, 3.5, PI / 4, r=1.0))
+        large = section_integral(SectionGeometry.from_ratios(3.0, 3.5, PI / 4, r=2.0))
+        assert large.bite_arc == 16.0 * small.bite_arc
+        assert large.total == 16.0 * small.total
 
 
 class TestSectionIntegral:
@@ -145,19 +128,47 @@ class TestSectionIntegral:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_upper_bound_full_circle(self):
-        """Removing material cannot increase the integral."""
+        """Removing material cannot increase the integral, deep bites and flat grooves included."""
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            rw = rng.uniform(1.5, 4.0)
-            x = rng.uniform(0.05, 1.5)
-            sec = SectionGeometry.from_ratios(rw, rw + x, rng.uniform(0, 2 * PI))
+        for _ in range(200):
+            rw = 0.5 * (2e8) ** rng.uniform(0.0, 1.0)  # r_w/r from 0.5 to 1e8
+            x = 1.5 * rng.uniform(0.0, 1.0) ** 2  # bite depth, deep bites near x = 0 weighted up
+            sec = SectionGeometry.from_ratios(rw, rw + max(x, 1e-9), rng.uniform(0, 2 * PI))
             total = section_integral(sec).total
             assert 0.0 < total <= PI / 4 + 1e-12
 
     def test_error_estimate_small(self, real_section):
         integ = section_integral(real_section)
-        assert 0.0 <= integ.est_error < 1e-8 * integ.total
+        assert 0.0 < integ.est_error < 1e-8 * integ.total
         assert type(integ.est_error) is float
+
+
+# Accepted shapes over the whole domain: r_w/r log-uniform in [0.5, 1e8], any bite angle.
+rw_ratios = st.floats(math.log(0.5), math.log(1e8)).map(math.exp)
+gammas = st.floats(-PI, PI)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rw_ratios, st.floats(1e-6, 1.5), gammas)
+def test_section_integral_properties(rw, x, gamma):
+    """I(gamma) + I(gamma + pi/2) is free of gamma; I is continuous where the bite turns
+    deep (L^2 = r^2 + r_w^2) and where it leaves the section (L - r_w = r)."""
+
+    def integral(L_ratio, angle):
+        return section_integral(SectionGeometry.from_ratios(rw, L_ratio, angle)).total
+
+    polar = integral(rw + x, gamma) + integral(rw + x, gamma + PI / 2)
+    assert polar == pytest.approx(integral(rw + x, 0.0) + integral(rw + x, PI / 2), rel=1e-13)
+
+    # Moving the bite by dL sweeps at most 2 pi dL of area, where y^2 <= 1: |dI| <= 2 pi |dL|.
+    def step(L_ratio):
+        dL = max(1e-9, 4.0 * math.ulp(L_ratio))
+        return abs(integral(L_ratio + dL, gamma) - integral(L_ratio - dL, gamma)) / (2.0 * dL)
+
+    deep = math.sqrt(1.0 + rw * rw)
+    if deep - rw > 8.0 * max(1e-9, 4.0 * math.ulp(deep)):  # the boundary is representable in floats
+        assert step(deep) <= 2.0 * PI
+    assert step(rw + 1.0) <= 2.0 * PI
 
 
 class TestStiffnessFromIntegral:
