@@ -48,7 +48,7 @@ def main():
     ring = WireRing(227.0, 82, 210000.0, sec)
     k_num = stiffness_from_integral(ring, integ.total)
     k_eng = stiffness_engineering(ring)
-    k_circ = stiffness_circular(WireRing(227.0, 82, 210000.0, SectionGeometry.circular(3.3)))
+    k_circ = stiffness_circular(ring)  # the same ring without its bite
     print("twisting stiffness of one ball sector:")
     print(f"  uncut circular wire   K = {k_circ:7.1f} N*mm/rad")
     print(f"  real section, exact   K = {k_num:7.1f} N*mm/rad")

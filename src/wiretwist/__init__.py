@@ -8,9 +8,13 @@ that twisting stiffness from a fibre-stretch deformation assumption:
 * the small-angle stiffness constant K_T = (beta E / R) I, with the section
   integral I and the torque's moments summed over one walk along the
   section's two boundary arcs (Green's theorem, a fixed Gauss-Legendre rule),
-* closed forms for the circular section and the fitted engineering formula,
+* closed forms for the plain circular wire (the section with no bite) and
+  the fitted engineering formula,
 * a full-factorial map of I/r^4 with a constrained least-squares surrogate,
 * an independent brute-force differential-element oracle for cross-checks.
+
+A section's bite is optional and ``classify_section`` alone decides whether
+it is cut.  Only the oracle imports numpy; the rest runs on plain floats.
 
 Units: mm, N, MPa, rad; stiffness in N*mm/rad.
 """
@@ -30,12 +34,10 @@ from .errors import (
     InvalidGeometryError,
     OutOfValidatedRangeWarning,
     QuadratureNotConvergedError,
-    WrongSectionKindError,
 )
 from .geometry import (
     SectionClass,
     SectionGeometry,
-    SectionKind,
     WireRing,
     classify_section,
     theta_limits,
@@ -50,7 +52,7 @@ from .stiffness import (
     stiffness_engineering,
     stiffness_from_integral,
 )
-from .torque import TorqueCurve, delta_length, torque_curve, torque_full
+from .torque import TorqueCurve, torque_curve, torque_full
 
 __all__ = [
     "DegenerateFitError",
@@ -65,13 +67,10 @@ __all__ = [
     "SectionClass",
     "SectionGeometry",
     "SectionIntegral",
-    "SectionKind",
     "SurrogateFit",
     "TorqueCurve",
     "WireRing",
-    "WrongSectionKindError",
     "classify_section",
-    "delta_length",
     "fit_surrogate",
     "oracle_torque",
     "run_doe",

@@ -37,7 +37,7 @@ from .doe import (
     run_doe,
 )
 from .errors import InvalidGeometryError
-from .geometry import SectionGeometry, SectionKind, WireRing, classify_section, theta_limits
+from .geometry import SectionGeometry, WireRing, classify_section, theta_limits
 from .oracle import GridSpec, oracle_torque
 from .stiffness import (
     section_integral,
@@ -173,7 +173,7 @@ def _resolve_section(args) -> SectionGeometry:
         return SectionGeometry.from_ratios(args.rw_ratio, args.L_ratio, gamma, r=args.r)
     if args.rw is None or args.L is None:
         raise InvalidGeometryError("both --rw and --L are required")
-    return SectionGeometry.wire_race(args.r, args.rw, args.L, gamma)
+    return SectionGeometry(args.r, args.rw, args.L, gamma)
 
 
 def _resolve_ring(args) -> WireRing:
@@ -187,9 +187,9 @@ def _ring_inputs(ring: WireRing) -> dict:
         "r_mm": _jnum(sec.r),
         "Z": ring.Z,
         "E_MPa": _jnum(ring.E),
-        "section_kind": sec.kind.value,
+        "section_kind": "circular" if sec.r_w is None else "wire_race",
     }
-    if sec.kind is SectionKind.WIRE_RACE:
+    if sec.r_w is not None:
         inputs.update(
             rw_mm=_jnum(sec.r_w),
             L_mm=_jnum(sec.L),
@@ -201,7 +201,7 @@ def _ring_inputs(ring: WireRing) -> dict:
 
 
 def _section_text(sec: SectionGeometry) -> str:
-    if sec.kind is SectionKind.CIRCULAR:
+    if sec.r_w is None:
         return f"circular (r={_fmt(sec.r)} mm)"
     return (
         f"wire-race (r={_fmt(sec.r)} mm, r_w/r={_fmt(sec.rw_ratio)}, "
@@ -247,8 +247,7 @@ def cmd_stiffness(args) -> int:
 
     integ = section_integral(sec)
     k_numeric = stiffness_from_integral(ring, integ.total)
-    circular_ring = WireRing(ring.R, ring.Z, ring.E, SectionGeometry.circular(sec.r))
-    k_circular = stiffness_circular(circular_ring)
+    k_circular = stiffness_circular(ring)
 
     results = {
         "K_circular_Nmm_per_rad": _jnum(k_circular),
@@ -261,7 +260,7 @@ def cmd_stiffness(args) -> int:
         f"  K_circular    = {_fmt(k_circular)}   (uncut circular section, closed form)",
         f"  K_numeric     = {_fmt(k_numeric)}   (section integral, quadrature)",
     ]
-    if sec.kind is SectionKind.WIRE_RACE:
+    if sec.r_w is not None:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             k_eng = stiffness_engineering(ring)
@@ -304,7 +303,7 @@ def cmd_integral(args) -> int:
         f"  est. error = {_fmt(integ.est_error)} mm^4",
         f"  I / r^4    = {_fmt(integ.total / r4)}",
     ]
-    if sec.kind is SectionKind.WIRE_RACE:
+    if sec.r_w is not None:
         t1, t2 = theta_limits(sec)
         results["theta1_rad"] = _jnum(t1)
         results["theta2_rad"] = _jnum(t2)
@@ -428,6 +427,8 @@ def cmd_torque_curve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        raise ValueError(f"--threshold must be a finite number above 0, got {args.threshold!r}")
     ring = _resolve_ring(args)
     t_quad = torque_full(ring, args.alpha)
     t_oracle = oracle_torque(ring, args.alpha, GridSpec(args.grid, args.grid))

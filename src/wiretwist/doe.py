@@ -21,8 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import DegenerateFitError, OutOfValidatedRangeWarning
-from .geometry import SectionGeometry, SectionKind
-from .stiffness import ENGINEERING_FIT_SLOPE, VALIDATED_X_RANGE, _surrogate_integral, section_integral
+from .geometry import SectionGeometry
+from .stiffness import ENGINEERING_FIT_SLOPE, VALIDATED_X_RANGE, _bite_x, _surrogate_integral, section_integral
 
 CSV_HEADER = "rw_ratio,L_ratio,gamma_rad,x,I_over_r4"
 
@@ -136,11 +136,9 @@ class SurrogateFit:
     ANCHOR_X = 1.0
     ANCHOR_VALUE = math.pi / 4.0
 
-    def predict(self, x):
-        """Surrogate I/r^4 at parameter x (scalar or array), clamped at the anchor."""
-        import numpy as np
-
-        return self.ANCHOR_VALUE - self.c * np.maximum(0.0, 1.0 - np.asarray(x, dtype=float))
+    def predict(self, x: float) -> float:
+        """Surrogate I/r^4 at parameter x, clamped at the anchor."""
+        return _surrogate_integral(1.0, x, self.c)
 
 
 def fit_surrogate(table: DoeTable) -> SurrogateFit:
@@ -164,19 +162,15 @@ def surrogate_integral(section: SectionGeometry, fit: "SurrogateFit | float" = E
 
     ``fit`` may be a SurrogateFit or a plain slope coefficient (default: the
     engineering value 0.36).  Warns when x < 0.25, below the mapped range;
-    for x > 1 the bracket clamps to the full-circle anchor.
+    for x > 1, or without a bite, the bracket clamps to the full-circle anchor.
     """
-    if section.kind is not SectionKind.WIRE_RACE:
-        # a plain circle is the anchor itself
-        x = 1.0
-    else:
-        x = section.L_ratio - section.rw_ratio
-        if x < VALIDATED_X_RANGE[0] - 1e-12:
-            warnings.warn(
-                f"L/r - r_w/r = {x:.6g} is below the mapped range "
-                f"(>= {VALIDATED_X_RANGE[0]}); the surrogate is extrapolating",
-                OutOfValidatedRangeWarning,
-                stacklevel=2,
-            )
+    x = _bite_x(section)
+    if x < VALIDATED_X_RANGE[0] - 1e-12:
+        warnings.warn(
+            f"L/r - r_w/r = {x:.6g} is below the mapped range "
+            f"(>= {VALIDATED_X_RANGE[0]}); the surrogate is extrapolating",
+            OutOfValidatedRangeWarning,
+            stacklevel=2,
+        )
     slope = fit.c if isinstance(fit, SurrogateFit) else float(fit)
     return _surrogate_integral(section.r, x, slope)

@@ -5,10 +5,6 @@ class InvalidGeometryError(ValueError):
     """A section or ring violates a geometric invariant (message names it)."""
 
 
-class WrongSectionKindError(ValueError):
-    """An operation was called on a section kind it is not defined for."""
-
-
 class QuadratureNotConvergedError(RuntimeError):
     """Never raised (no integral is adaptive); importable until the benchmark stops catching it."""
 

@@ -3,8 +3,11 @@
 The raceway wire has a circular cross-section of radius ``r`` from which a
 conformal groove (the "bite") may be machined to seat the rolling element:
 a second circle of radius ``r_w`` centered at distance ``L`` from the
-section center, at polar angle ``gamma``.  Coordinates ``(x, y)`` are
-attached to the section center, ``x`` pointing away from the ring axis.
+section center, at polar angle ``gamma``.  The plain circular wire is the
+section without a bite, and ``classify_section`` alone decides whether a
+section is cut: a bite that misses the circle leaves it whole.  Coordinates
+``(x, y)`` are attached to the section center, ``x`` pointing away from the
+ring axis.
 
 Units are fixed throughout the package: mm, N, MPa, rad.
 
@@ -23,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidGeometryError, WrongSectionKindError
+from .errors import InvalidGeometryError
 from .quadrature import GAUSS_32
 
 _GRADING = 0.25  # length ratio of consecutive panels toward the point nearest the ring axis
@@ -32,11 +35,6 @@ _GRADING = 0.25  # length ratio of consecutive panels toward the point nearest t
 def _is_real(value) -> bool:
     """A finite real number.  bool is an int subclass, but never a length, angle or count."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-class SectionKind(Enum):
-    CIRCULAR = "circular"
-    WIRE_RACE = "wire_race"
 
 
 class SectionClass(Enum):
@@ -48,17 +46,18 @@ class SectionClass(Enum):
 
 @dataclass(frozen=True)
 class SectionGeometry:
-    """Wire cross-section: a full circle, or a circle minus the bite circle.
+    """Wire cross-section: a circle of radius ``r``, cut by an optional bite.
+
+    The bite is given by all three of ``r_w``, ``L`` and ``gamma``, or by
+    none of them: the plain circular wire is the section with no bite.
 
     Attributes:
-        kind: CIRCULAR (no bite) or WIRE_RACE (bite parameters present).
         r: section circle radius [mm].
-        r_w: bite circle radius [mm] (WIRE_RACE only).
-        L: distance from section center to bite center [mm] (WIRE_RACE only).
-        gamma: polar angle of the bite center [rad] (WIRE_RACE only).
+        r_w: bite circle radius [mm], or None.
+        L: distance from section center to bite center [mm], or None.
+        gamma: polar angle of the bite center [rad], or None.
     """
 
-    kind: SectionKind
     r: float
     r_w: float | None = None
     L: float | None = None
@@ -67,12 +66,11 @@ class SectionGeometry:
     def __post_init__(self):
         if not (_is_real(self.r) and self.r > 0):
             raise InvalidGeometryError(f"section radius must be positive, got r={self.r!r}")
-        if self.kind is SectionKind.CIRCULAR:
-            if self.r_w is not None or self.L is not None or self.gamma is not None:
-                raise InvalidGeometryError("circular sections take no bite parameters")
+        bite = (self.r_w, self.L, self.gamma)
+        if bite == (None, None, None):
             return
-        if self.r_w is None or self.L is None or self.gamma is None:
-            raise InvalidGeometryError("wire-race sections require r_w, L and gamma")
+        if None in bite:
+            raise InvalidGeometryError("a bite takes all of r_w, L and gamma, or none of them")
         for name, val in (("r_w", self.r_w), ("L", self.L), ("gamma", self.gamma)):
             if not _is_real(val):
                 raise InvalidGeometryError(f"{name} must be a finite real number, got {val!r}")
@@ -93,30 +91,24 @@ class SectionGeometry:
 
     @classmethod
     def circular(cls, r: float) -> "SectionGeometry":
-        return cls(SectionKind.CIRCULAR, r)
-
-    @classmethod
-    def wire_race(cls, r: float, r_w: float, L: float, gamma: float) -> "SectionGeometry":
-        return cls(SectionKind.WIRE_RACE, r, r_w, L, gamma)
+        return cls(r)
 
     @classmethod
     def from_ratios(
         cls, rw_ratio: float, L_ratio: float, gamma: float, r: float = 1.0
     ) -> "SectionGeometry":
-        """Build a wire-race section from the dimensionless ratios r_w/r and L/r."""
-        return cls(SectionKind.WIRE_RACE, r, rw_ratio * r, L_ratio * r, gamma)
+        """Build a bitten section from the dimensionless ratios r_w/r and L/r."""
+        return cls(r, rw_ratio * r, L_ratio * r, gamma)
 
     @property
-    def rw_ratio(self) -> float:
-        if self.kind is not SectionKind.WIRE_RACE:
-            raise WrongSectionKindError("rw_ratio is defined for wire-race sections only")
-        return self.r_w / self.r
+    def rw_ratio(self) -> float | None:
+        """r_w / r, or None without a bite."""
+        return None if self.r_w is None else self.r_w / self.r
 
     @property
-    def L_ratio(self) -> float:
-        if self.kind is not SectionKind.WIRE_RACE:
-            raise WrongSectionKindError("L_ratio is defined for wire-race sections only")
-        return self.L / self.r
+    def L_ratio(self) -> float | None:
+        """L / r, or None without a bite."""
+        return None if self.L is None else self.L / self.r
 
 
 @dataclass(frozen=True)
@@ -158,15 +150,13 @@ class WireRing:
 def classify_section(section: SectionGeometry) -> SectionClass:
     """Classify how the bite intersects the section.
 
-    FULL_CIRCLE iff the bite circle does not reach into the section,
-    i.e. L - r_w >= r (equivalently L/r - r_w/r >= 1).  Circular sections
-    are always FULL_CIRCLE.  The remaining invalid configurations (bite
-    covering the center, bite cutting a hole) are rejected at construction,
-    so the classification is total.
+    FULL_CIRCLE iff there is no bite or the bite circle does not reach into
+    the section, i.e. L - r_w >= r (equivalently L/r - r_w/r >= 1).  This is
+    the one test of whether a section is cut.  The remaining invalid
+    configurations (bite covering the center, bite cutting a hole) are
+    rejected at construction, so the classification is total.
     """
-    if section.kind is SectionKind.CIRCULAR:
-        return SectionClass.FULL_CIRCLE
-    if section.L - section.r_w >= section.r:
+    if section.r_w is None or section.L - section.r_w >= section.r:
         return SectionClass.FULL_CIRCLE
     return SectionClass.PARTIAL_BITE
 
@@ -181,8 +171,8 @@ def theta_limits(section: SectionGeometry) -> tuple[float, float]:
     limits collapse to ``(gamma, gamma)``.  Only the ``integral`` report
     prints them; no computation uses them.
     """
-    if section.kind is not SectionKind.WIRE_RACE:
-        raise WrongSectionKindError("theta_limits requires a wire-race section")
+    if section.r_w is None:
+        raise ValueError("theta_limits: the section has no bite")
     lr = section.L_ratio
     rw = section.rw_ratio
     u = (1.0 + lr * lr - rw * rw) / (2.0 * lr)

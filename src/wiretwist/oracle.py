@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import SectionKind, WireRing
+from .geometry import SectionClass, WireRing, classify_section
 
 _SUBCELLS = 8  # sub-grid per side of a cell near the bite circle
 
@@ -42,10 +42,11 @@ class GridSpec:
 def oracle_torque(ring: WireRing, alpha: float, grid: GridSpec | None = None) -> float:
     """Torque at twist angle ``alpha`` by direct summation over section cells [N*mm].
 
-    Accuracy is governed purely by the grid; cells whose center lies inside
-    the bite contribute nothing, and cells near the bite circle count by the
-    share of their sub-cells outside it.  ``alpha`` must be nonzero (the
-    quotient by alpha is what turns summed virtual work into a torque).
+    Accuracy is governed purely by the grid.  When the bite cuts the section,
+    cells whose center lies inside the bite contribute nothing, and cells near
+    the bite circle count by the share of their sub-cells outside it.
+    ``alpha`` must be nonzero (the quotient by alpha is what turns summed
+    virtual work into a torque).
     """
     if alpha == 0.0:
         raise ValueError("oracle_torque requires a nonzero twist angle")
@@ -66,7 +67,7 @@ def oracle_torque(ring: WireRing, alpha: float, grid: GridSpec | None = None) ->
     d_len = beta * rho * (np.cos(theta + alpha) - cos_theta)
     fibre_len = beta * (ring.R + rho * cos_theta)
     work = ring.E * d_len**2 / fibre_len * rho * d_rho * d_theta
-    if section.kind is SectionKind.WIRE_RACE:
+    if classify_section(section) is SectionClass.PARTIAL_BITE:
         L, r_w, gamma = section.L, section.r_w, section.gamma
 
         def dist_sq(p, t):  # squared distance of the point (p, t) from the bite center

@@ -13,9 +13,9 @@ included.  The stiffness constant of one rolling-element sector is then
 
 Closed forms:
 
-* circular section:     K_T = (E r^4 / (Z R)) (pi^2 / 2)
+* uncut circle of radius r: K_T = (E r^4 / (Z R)) (pi^2 / 2), for any ring
 * engineering surrogate: K_T = (E r^4 / (Z R)) (pi^2/2 - 0.72 pi [1 - (L/r - r_w/r)])
-  with the bracket clamped at 0 once L/r - r_w/r >= 1.
+  with the bracket clamped at 0 once L/r - r_w/r >= 1 (no bite: x = 1).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import OutOfValidatedRangeWarning, WrongSectionKindError
-from .geometry import SectionGeometry, SectionKind, WireRing, boundary_walk
+from .errors import OutOfValidatedRangeWarning
+from .geometry import SectionGeometry, WireRing, boundary_walk
 
 # Slope of the fitted linear surrogate for I/r^4 against (L/r - r_w/r);
 # recoverable from the full-factorial map in the doe module (fit gives ~0.359).
@@ -39,8 +39,9 @@ VALIDATED_X_RANGE = (0.25, 1.0)
 class SectionIntegral:
     """The section integral as the contributions of the two boundary arcs.
 
-    ``total = full_arc + bite_arc``; for an uncut section (or a bite that
-    misses it) the bite part is zero and ``total = pi r^4 / 4``.
+    ``total = full_arc + bite_arc``; for an uncut section (no bite, or a
+    bite that misses it) the bite part is zero and ``total`` is pi r^4 / 4
+    to rounding.
     """
 
     full_arc: float  # contour integral along the section-circle arc [mm^4]
@@ -60,22 +61,21 @@ def _r4(r: float) -> float:
 def section_integral(section: SectionGeometry, quad=None) -> SectionIntegral:
     """I = II y^2 dA [mm^4], split by boundary arc, with its rounding bound.
 
-    Walks the unit-radius twin, so the r^4 prefactor is exact and similar
-    sections give the same I/r^4.  ``quad`` is accepted and ignored until
-    the benchmark stops passing it.
+    Walks the section's own lengths, so no ratio is rounded on the way.
+    ``quad`` is accepted and ignored until the benchmark stops passing it.
     """
-    if section.kind is SectionKind.CIRCULAR:
-        unit = SectionGeometry.circular(1.0)
-    else:
-        unit = SectionGeometry.from_ratios(section.rw_ratio, section.L_ratio, section.gamma)
     parts, magnitude, count = [], 0.0, 0
-    for arc in boundary_walk(unit):
+    for arc in boundary_walk(section):
         terms = [x * y * y * wdy for x, y, wdy in arc]
         parts.append(math.fsum(terms))
         magnitude += math.fsum(abs(t) for t in terms)
         count += len(terms)
-    r4 = _r4(section.r)
-    return SectionIntegral(r4 * parts[0], r4 * parts[1], r4 * (count * 2.0**-53 * magnitude))
+    return SectionIntegral(parts[0], parts[1], count * 2.0**-53 * magnitude)
+
+
+def _bite_x(section: SectionGeometry) -> float:
+    """x = L/r - r_w/r, with no bite at the surrogate's anchor x = 1."""
+    return 1.0 if section.r_w is None else section.L_ratio - section.rw_ratio
 
 
 def _surrogate_integral(r: float, x: float, slope: float) -> float:
@@ -91,29 +91,26 @@ def stiffness_from_integral(ring: WireRing, I: float) -> float:
 
 
 def stiffness_circular(ring: WireRing) -> float:
-    """Closed-form twisting stiffness for a circular section [N*mm/rad].
+    """Closed-form twisting stiffness of the uncut circle of radius r [N*mm/rad].
 
         K_T = (E r^4 / (Z R)) (pi^2 / 2)
+
+    Any bite of ``ring.section`` is ignored.
     """
-    if ring.section.kind is not SectionKind.CIRCULAR:
-        raise WrongSectionKindError("stiffness_circular requires a circular section")
     return ring.E * _r4(ring.section.r) / (ring.Z * ring.R) * (math.pi * math.pi / 2.0)
 
 
 def stiffness_engineering(ring: WireRing) -> float:
-    """Engineering-formula twisting stiffness for a wire-race section [N*mm/rad].
+    """Engineering-formula twisting stiffness [N*mm/rad].
 
         K_T = (E r^4 / (Z R)) (pi^2/2 - 0.72 pi [1 - (L/r - r_w/r)])
 
     The bracket is clamped at 0 for L/r - r_w/r >= 1, so the value matches
-    the circular closed form there and stays continuous across the boundary.
-    Outside the mapped range x in [0.25, 1] the value is still returned but
+    the circular closed form there and stays continuous across the boundary;
+    a section without a bite sits at the anchor x = 1.  Outside the mapped range x in [0.25, 1] the value is still returned but
     an OutOfValidatedRangeWarning is emitted.
     """
-    sec = ring.section
-    if sec.kind is not SectionKind.WIRE_RACE:
-        raise WrongSectionKindError("stiffness_engineering requires a wire-race section")
-    x = sec.L_ratio - sec.rw_ratio
+    x = _bite_x(ring.section)
     lo, hi = VALIDATED_X_RANGE
     # 1e-12 slack keeps roundoff in ratios derived from absolute mm quiet
     if x < lo - 1e-12 or x > hi + 1e-12:
@@ -123,4 +120,4 @@ def stiffness_engineering(ring: WireRing) -> float:
             OutOfValidatedRangeWarning,
             stacklevel=2,
         )
-    return stiffness_from_integral(ring, _surrogate_integral(sec.r, x, ENGINEERING_FIT_SLOPE))
+    return stiffness_from_integral(ring, _surrogate_integral(ring.section.r, x, ENGINEERING_FIT_SLOPE))

@@ -26,12 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .geometry import WireRing, boundary_walk
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # g(u) = log1p u - u + u^2/2 = u^3 sum_j (-u)^j / (j + 3); for |u| < 0.25, 28 terms reach 1e-17.
 # Highest power first, for Horner's rule.
@@ -51,23 +47,15 @@ class TorqueCurve:
         K_secant_neg: T(-alpha_max)/(-alpha_max) [N*mm/rad].
     """
 
-    alphas: np.ndarray
-    torques: np.ndarray
+    alphas: tuple[float, ...]
+    torques: tuple[float, ...]
     K_origin: float
     K_secant_pos: float
     K_secant_neg: float
 
     @property
     def samples(self) -> list[tuple[float, float]]:
-        return [(float(a), float(t)) for a, t in zip(self.alphas, self.torques)]
-
-
-def delta_length(rho: float, theta: float, alpha: float, ring: WireRing) -> float:
-    """Length change of the fibre at (rho, theta) for twist angle alpha [mm].
-
-        delta L = beta * rho * (cos(theta + alpha) - cos(theta))
-    """
-    return ring.beta * rho * (math.cos(theta + alpha) - math.cos(theta))
+        return list(zip(self.alphas, self.torques))
 
 
 def _moments(ring: WireRing) -> tuple[float, float, float]:
@@ -123,20 +111,19 @@ def torque_curve(ring: WireRing, alpha_max: float, n_steps: int = 21) -> TorqueC
         raise ValueError(f"alpha_max must lie in (0, pi/2), got {alpha_max}")
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    import numpy as np
-
     n = n_steps if n_steps % 2 == 1 else n_steps + 1
     half = (n - 1) // 2
-    positive = np.linspace(0.0, alpha_max, half + 1)
-    alphas = np.concatenate([-positive[:0:-1], positive])
+    # the nodes of numpy.linspace(0, alpha_max, half + 1), bit for bit
+    positive = [i * (alpha_max / half) for i in range(half)] + [alpha_max]
+    alphas = tuple(-a for a in reversed(positive[1:])) + tuple(positive)
 
     moments = _moments(ring)
-    torques = np.array([0.0 if a == 0.0 else _torque(ring, float(a), moments) for a in alphas])
+    torques = tuple(0.0 if a == 0.0 else _torque(ring, a, moments) for a in alphas)
 
     return TorqueCurve(
         alphas=alphas,
         torques=torques,
         K_origin=ring.beta * ring.E * 0.5 * (moments[0] - moments[1]),
-        K_secant_pos=float(torques[-1] / alphas[-1]),
-        K_secant_neg=float(torques[0] / alphas[0]),
+        K_secant_pos=torques[-1] / alphas[-1],
+        K_secant_neg=torques[0] / alphas[0],
     )

@@ -4,11 +4,14 @@
 
 prints the ``CASES`` table that the test stores, so the test suite does not
 need mpmath (``pip install .[reference]``).  Each row is
-``(rw_ratio, x, gamma, I)`` for the section r = 1, r_w = rw_ratio,
-L = rw_ratio + x, with I = II y^2 dA over the unit disk minus the lens it
-shares with the bite disk.
+``(r, rw_ratio, x, gamma, I)`` for the section of radius r with
+r_w = rw_ratio * r and L = (rw_ratio + x) * r, with I = II y^2 dA over the
+disk of radius r minus the lens it shares with the bite disk.
 
-The inputs are the exact floats that ``SectionGeometry.from_ratios`` stores.
+The inputs are the exact floats that ``SectionGeometry.from_ratios(rw_ratio,
+rw_ratio + x, gamma, r=r)`` stores; at r = 3.3 and r = 0.7 these are not
+exact multiples of r, so the rows there pin I for the stored lengths, not
+for the rounded ratios.
 The method shares nothing with ``wiretwist``: the common chord splits the
 lens into two circular segments, whose second moments have closed forms.
 In the bite frame (s along the bite axis, w across it) the lens is mirror
@@ -34,8 +37,10 @@ X_VALUES = [1e-3, 0.05, 0.5, 0.99, 1.2]
 GAMMAS = [math.radians(g) for g in (0.0, 45.0, 90.0, 150.0)]
 # Deep bites (L^2 < r^2 + r_w^2) where the former polar split was off by 41.5%, 5.0% and 0.96%.
 DEEP_ANCHORS = [(0.5, 0.001, math.radians(90.0)), (1.2, 0.05, 0.0), (3.0, 0.05, math.radians(45.0))]
-GRID = [(rw, x, g) for rw in RW_RATIOS for x in X_VALUES for g in GAMMAS]
-GRID += [shape for shape in DEEP_ANCHORS if shape not in GRID]
+RADII = [1.0, 3.3, 0.7]  # 1 keeps the ratios exact; the others are not powers of two
+GRID = [(1.0, rw, x, g) for rw in RW_RATIOS for x in X_VALUES for g in GAMMAS]
+GRID += [(1.0, *shape) for shape in DEEP_ANCHORS if (1.0, *shape) not in GRID]
+GRID += [(r, rw, x, g) for r in RADII[1:] for rw in RW_RATIOS for x in X_VALUES for g in GAMMAS]
 
 
 def _segment(a, t):
@@ -52,22 +57,24 @@ def _segment(a, t):
     return area, first, nn, mm
 
 
-def section_integral(rw, x, gamma):
-    """I of the section r = 1, r_w = rw, L = rw + x (floats as stored) at angle gamma."""
-    r_w, L, gamma = mp.mpf(rw), mp.mpf(rw + x), mp.mpf(gamma)
+def section_integral(r, rw, x, gamma):
+    """I of the section r, r_w = rw * r, L = (rw + x) * r (floats as stored) at angle gamma."""
+    r_w, L = rw * r, (rw + x) * r  # the floats that from_ratios stores
+    r = mp.mpf(r)
+    r_w, L, gamma = mp.mpf(r_w) / r, mp.mpf(L) / r, mp.mpf(gamma)  # scaled exactly to r = 1
     if L - r_w >= 1:
-        return mp.pi / 4
+        return r**4 * mp.pi / 4
     d = (L * L - r_w * r_w + 1) / (2 * L)  # the common chord's distance from the section centre
     _, _, ss_near, ww_near = _segment(mp.mpf(1), d)  # s = n
     area, first, nn, ww_far = _segment(r_w, L - d)  # s = L - n
     ss_far = L * L * area - 2 * L * first + nn
-    return mp.pi / 4 - mp.sin(gamma) ** 2 * (ss_near + ss_far) - mp.cos(gamma) ** 2 * (ww_near + ww_far)
+    return r**4 * (mp.pi / 4 - mp.sin(gamma) ** 2 * (ss_near + ss_far) - mp.cos(gamma) ** 2 * (ww_near + ww_far))
 
 
 def main() -> None:
     print("CASES = [")
-    for rw, x, gamma in GRID:
-        print(f"    ({rw!r}, {x!r}, {gamma!r}, {mp.nstr(section_integral(rw, x, gamma), 40)}),")
+    for r, rw, x, gamma in GRID:
+        print(f"    ({r!r}, {rw!r}, {x!r}, {gamma!r}, {mp.nstr(section_integral(r, rw, x, gamma), 40)}),")
     print("]")
 
 

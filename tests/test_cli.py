@@ -260,6 +260,21 @@ class TestOracleCheckCommand:
         assert code == 0
         assert json.loads(out)["results"]["passed"] is True
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_threshold_not_positive_finite_exit_2(self, capsys, monkeypatch, threshold, fmt):
+        """Rejected before any torque is computed, with one line naming the flag."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a torque for an invalid threshold")
+
+        monkeypatch.setattr("wiretwist.cli.torque_full", refuse)
+        monkeypatch.setattr("wiretwist.cli.oracle_torque", refuse)
+        code, out, err = run_cli(capsys, ["oracle-check", "--threshold", threshold, "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --threshold ") and err.count("\n") == 1
+
 
 class TestOutOfMemory:
     def test_memory_error_exit_2(self, capsys, monkeypatch):
@@ -276,7 +291,7 @@ class TestOutOfMemory:
 
 
 class TestColdStart:
-    """Only the commands that build arrays import numpy."""
+    """Only the oracle imports numpy."""
 
     SCRIPT = """
 import contextlib, io, sys
@@ -289,6 +304,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
             assert main([command, "--format", fmt]) == 0
     assert main(["stiffness", "--rw-ratio", "3", "--L-ratio", "3.5"]) == 0
     assert main(["integral", "--rw-ratio", "3", "--L-ratio", "3.5", "--format", "json"]) == 0
+    for fmt in ("csv", "json"):
+        assert main(["torque-curve", "--rw-ratio", "3", "--L-ratio", "3.5", "--format", fmt]) == 0
+    assert wiretwist.fit_surrogate(wiretwist.run_doe()).predict(0.5) > 0.0
     seen.append("numpy" in sys.modules)
     assert main(["oracle-check", "--grid", "64"]) == 0
     seen.append("numpy" in sys.modules)

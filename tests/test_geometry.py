@@ -12,7 +12,6 @@ from wiretwist import (
     SectionClass,
     SectionGeometry,
     WireRing,
-    WrongSectionKindError,
     classify_section,
     theta_limits,
 )
@@ -26,9 +25,10 @@ class TestSectionConstruction:
         sec = SectionGeometry.circular(3.3)
         assert sec.r == 3.3
         assert sec.r_w is None
+        assert sec.rw_ratio is None and sec.L_ratio is None
 
     def test_wire_race_valid(self):
-        sec = SectionGeometry.wire_race(3.3, 9.9, 11.55, PI / 4)
+        sec = SectionGeometry(3.3, 9.9, 11.55, PI / 4)
         assert sec.rw_ratio == pytest.approx(3.0)
         assert sec.L_ratio == pytest.approx(3.5)
 
@@ -44,7 +44,7 @@ class TestSectionConstruction:
         values = dict(r=1.0, r_w=3.0, L=3.5, gamma=PI / 4)
         values[field] = bad
         with pytest.raises(InvalidGeometryError, match=field):
-            SectionGeometry.wire_race(**values)
+            SectionGeometry(**values)
 
     def test_non_real_ratio_rejected(self):
         with pytest.raises(InvalidGeometryError):
@@ -57,22 +57,22 @@ class TestSectionConstruction:
     def test_bite_covering_center_rejected(self):
         """L <= r_w puts the section center inside the bite."""
         with pytest.raises(InvalidGeometryError, match="L > r_w"):
-            SectionGeometry.wire_race(1.0, 3.0, 2.5, PI / 4)
+            SectionGeometry(1.0, 3.0, 2.5, PI / 4)
 
     def test_hole_topology_rejected(self):
         """L + r_w <= r would cut a hole strictly inside the section."""
         with pytest.raises(InvalidGeometryError, match=r"L \+ r_w > r"):
-            SectionGeometry.wire_race(10.0, 1.0, 2.0, PI / 4)
+            SectionGeometry(10.0, 1.0, 2.0, PI / 4)
 
     def test_circular_refuses_bite_parameters(self):
-        with pytest.raises(InvalidGeometryError):
-            SectionGeometry(kind=SectionGeometry.circular(1.0).kind, r=1.0, r_w=2.0)
+        """A bite radius alone is not a bite: all of r_w, L and gamma, or none."""
+        with pytest.raises(InvalidGeometryError, match="r_w, L and gamma"):
+            SectionGeometry(r=1.0, r_w=2.0)
 
     def test_wire_race_requires_all_bite_parameters(self):
-        from wiretwist import SectionKind
-
-        with pytest.raises(InvalidGeometryError):
-            SectionGeometry(kind=SectionKind.WIRE_RACE, r=1.0, r_w=3.0, L=3.5)
+        for bite in (dict(r_w=3.0, L=3.5), dict(L=3.5, gamma=0.3), dict(r_w=3.0, gamma=0.3)):
+            with pytest.raises(InvalidGeometryError, match="r_w, L and gamma"):
+                SectionGeometry(r=1.0, **bite)
 
 
 class TestClassifySection:
@@ -81,11 +81,11 @@ class TestClassifySection:
 
     def test_tangent_bite_is_full_circle(self):
         """L - r_w = r exactly: the bite just misses the section."""
-        sec = SectionGeometry.wire_race(1.0, 3.0, 4.0, PI / 4)
+        sec = SectionGeometry(1.0, 3.0, 4.0, PI / 4)
         assert classify_section(sec) is SectionClass.FULL_CIRCLE
 
     def test_partial_bite(self):
-        sec = SectionGeometry.wire_race(1.0, 3.0, 3.5, PI / 4)
+        sec = SectionGeometry(1.0, 3.0, 3.5, PI / 4)
         assert classify_section(sec) is SectionClass.PARTIAL_BITE
 
     @pytest.mark.parametrize("k", [0.1, 0.5, 2.0, 3.3, 1000.0])
@@ -96,8 +96,8 @@ class TestClassifySection:
         rounding of the scaled lengths can legitimately flip the class.
         """
         for rw, lr in [(3.0, 3.5), (2.0, 3.4), (2.2, 2.9)]:
-            base = SectionGeometry.wire_race(1.0, rw, lr, PI / 4)
-            scaled = SectionGeometry.wire_race(k, rw * k, lr * k, PI / 4)
+            base = SectionGeometry(1.0, rw, lr, PI / 4)
+            scaled = SectionGeometry(k, rw * k, lr * k, PI / 4)
             assert classify_section(scaled) is classify_section(base)
 
 
@@ -162,7 +162,7 @@ class TestThetaLimits:
 
     def test_tangent_case_collapses(self):
         """L/r - r_w/r = 1: u = 1 and the arc collapses onto gamma."""
-        sec = SectionGeometry.wire_race(1.0, 3.0, 4.0, PI / 4)
+        sec = SectionGeometry(1.0, 3.0, 4.0, PI / 4)
         t1, t2 = theta_limits(sec)
         assert t1 == PI / 4
         assert t2 == PI / 4
@@ -189,7 +189,8 @@ class TestThetaLimits:
         assert t1 < real_section.gamma < t2
 
     def test_wrong_kind(self, circular_section):
-        with pytest.raises(WrongSectionKindError):
+        """An uncut section has no bite arc, so no limits."""
+        with pytest.raises(ValueError, match="no bite"):
             theta_limits(circular_section)
 
 

@@ -90,10 +90,12 @@ class TestOracleTorque:
 
 # The oracle at 64^2 and 400^2, as computed with a meshgrid and n^2 cosines:
 # with 1-D trig tables broadcast through the same float operations, a section
-# that the bite circle does not cut gives the same bits.
+# that the bite circle does not cut gives the same bits, and so does the
+# tangent bite L - r_w = r, which removes no cell.
 BIT_SHAPES = {
     "uncut": SectionGeometry.circular(3.3),
     "full": SectionGeometry.from_ratios(3.0, 4.2, PI / 4.0, r=3.3),
+    "tangent": SectionGeometry.from_ratios(2.0, 3.0, PI / 4.0, r=3.3),
 }
 BIT_VALUES = {
     (64, "uncut", 0.001): 6.601875587111577,
@@ -104,6 +106,10 @@ BIT_VALUES = {
     (400, "uncut", -0.15): -988.5440151733598,
     (400, "full", 0.001): 6.60266098663492,
     (400, "full", -0.15): -988.5440151733598,
+    (64, "tangent", 0.001): 6.601875587111577,
+    (64, "tangent", -0.15): -988.4264258468193,
+    (400, "tangent", 0.001): 6.60266098663492,
+    (400, "tangent", -0.15): -988.5440151733598,
 }
 
 

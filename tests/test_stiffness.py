@@ -14,7 +14,6 @@ from wiretwist import (
     OutOfValidatedRangeWarning,
     SectionGeometry,
     WireRing,
-    WrongSectionKindError,
     section_integral,
     stiffness_circular,
     stiffness_engineering,
@@ -226,8 +225,9 @@ class TestStiffnessCircular:
         assert stiffness_circular(big) == pytest.approx(16.0 * stiffness_circular(base), rel=1e-15)
 
     def test_wrong_kind(self, real_ring):
-        with pytest.raises(WrongSectionKindError):
-            stiffness_circular(real_ring)
+        """A cut ring gets the closed form of its uncut twin."""
+        twin = WireRing(real_ring.R, real_ring.Z, real_ring.E, SectionGeometry.circular(real_ring.section.r))
+        assert stiffness_circular(real_ring) == stiffness_circular(twin)
 
 
 class TestStiffnessEngineering:
@@ -291,9 +291,11 @@ class TestStiffnessEngineering:
             k_surrogate = stiffness_from_integral(ring, surrogate_integral(sec))
         assert k_eng == pytest.approx(k_surrogate, rel=1e-14)
 
-    def test_wrong_kind(self, circular_ring):
-        with pytest.raises(WrongSectionKindError):
-            stiffness_engineering(circular_ring)
+    def test_wrong_kind(self, circular_ring, recwarn):
+        """An uncut ring sits at the anchor x = 1: the circular value, without a warning."""
+        k_eng = stiffness_engineering(circular_ring)
+        assert k_eng == pytest.approx(stiffness_circular(circular_ring), rel=1e-15)
+        assert not [w for w in recwarn if issubclass(w.category, OutOfValidatedRangeWarning)]
 
     def test_surrogate_accuracy_on_grid(self):
         """Engineering formula within 2% of the quadrature stiffness at every

@@ -11,7 +11,6 @@ import wiretwist.torque as torque_module
 from wiretwist import (
     SectionGeometry,
     WireRing,
-    delta_length,
     section_integral,
     stiffness_circular,
     stiffness_from_integral,
@@ -21,22 +20,6 @@ from wiretwist import (
 from conftest import REF_E, REF_GAMMA, REF_R, REF_Z
 
 PI = math.pi
-
-
-class TestDeltaLength:
-    def test_zero_twist(self, circular_ring):
-        assert delta_length(2.0, 1.0, 0.0, circular_ring) == 0.0
-
-    def test_top_fibre_first_order(self, circular_ring):
-        """At theta = pi/2 the fibre shortens by ~ beta*rho*alpha for small alpha."""
-        alpha = 1e-6
-        dl = delta_length(3.3, PI / 2.0, alpha, circular_ring)
-        assert dl == pytest.approx(-circular_ring.beta * 3.3 * alpha, rel=1e-5)
-
-    def test_reference_evaluation(self, circular_ring):
-        """beta=2pi/82, rho=3.3, theta=pi/2, alpha=0.1 -> about -0.025243 mm."""
-        dl = delta_length(3.3, PI / 2.0, 0.1, circular_ring)
-        assert dl == pytest.approx(-0.025243, abs=2e-6)
 
 
 class TestTorqueFull:
@@ -106,8 +89,17 @@ class TestTorqueCurve:
 
     def test_samples_sorted_and_symmetric_grid(self, circular_ring):
         curve = torque_curve(circular_ring, 0.1, n_steps=9)
-        assert np.all(np.diff(curve.alphas) > 0)
-        np.testing.assert_allclose(curve.alphas, -curve.alphas[::-1], atol=0)
+        assert all(a < b for a, b in zip(curve.alphas, curve.alphas[1:]))
+        assert curve.alphas == tuple(-a for a in reversed(curve.alphas))
+
+    @pytest.mark.parametrize("alpha_max", [0.1, 0.3, 1e-7, 1.5])
+    @pytest.mark.parametrize("n_steps", [2, 3, 21, 101])
+    def test_grid_is_numpy_linspace(self, circular_ring, alpha_max, n_steps):
+        """The plain-float grid has the bits of the symmetric numpy.linspace grid."""
+        curve = torque_curve(circular_ring, alpha_max, n_steps)
+        positive = np.linspace(0.0, alpha_max, len(curve.alphas) // 2 + 1)
+        assert curve.alphas == tuple(np.concatenate([-positive[:0:-1], positive]).tolist())
+        assert all(type(v) is float for v in curve.alphas + curve.torques)
 
     def test_even_step_count_normalized(self, circular_ring):
         curve = torque_curve(circular_ring, 0.1, n_steps=4)
