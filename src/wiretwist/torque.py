@@ -25,6 +25,7 @@ T(+/-alpha_max)/(+/-alpha_max) differ for asymmetric (wire-race) sections.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import WireRing, boundary_walk
@@ -79,21 +80,28 @@ def _moments(ring: WireRing) -> tuple[float, float, float]:
 
 
 def _torque(ring: WireRing, alpha: float, moments: tuple[float, float, float]) -> float:
-    """T(alpha) = beta E 4 sin^2(alpha/2) / alpha * M(alpha/2), for alpha != 0."""
+    """T(alpha) = beta E 4 sin^2(alpha/2) / alpha * M(alpha/2), for a normal alpha != 0.
+
+    The factor is formed as (2 sin(alpha/2)) (2 sin(alpha/2) / alpha), which
+    neither underflows nor goes subnormal for any normal alpha.
+    """
     m0, mc, ms = moments
     moment = 0.5 * (m0 - math.cos(alpha) * mc + math.sin(alpha) * ms)
-    return ring.beta * ring.E * 4.0 * math.sin(0.5 * alpha) ** 2 / alpha * moment
+    chord = 2.0 * math.sin(0.5 * alpha)
+    return ring.beta * ring.E * chord * (chord / alpha) * moment
 
 
 def torque_full(ring: WireRing, alpha: float, quad=None) -> float:
     """Twisting moment at finite angle ``alpha`` [N*mm]; T(0) = 0 by continuity.
 
     Requires |alpha| < pi/2 (beyond that the fibre-stretch deformation
-    assumption is meaningless).  ``quad`` is accepted and ignored until the
-    benchmark stops passing it.
+    assumption is meaningless) and rejects a subnormal alpha.  ``quad`` is
+    accepted and ignored until the benchmark stops passing it.
     """
     if not abs(alpha) < math.pi / 2.0:
         raise ValueError(f"twist angle must satisfy |alpha| < pi/2, got {alpha}")
+    if 0.0 < abs(alpha) < sys.float_info.min:
+        raise ValueError(f"twist angle must be 0 or at least {sys.float_info.min} in magnitude, got {alpha}")
     if alpha == 0.0:
         return 0.0
     return _torque(ring, alpha, _moments(ring))
@@ -105,7 +113,9 @@ def torque_curve(ring: WireRing, alpha_max: float, n_steps: int = 21) -> TorqueC
     The grid is uniform and always contains alpha = 0 (an even ``n_steps``
     is rounded up to the next odd count).  Every sample comes from one
     evaluation of the section moments, so each equals ``torque_full``;
-    K_origin = beta E (M0 - Mc)/2 exactly.
+    K_origin = beta E (M0 - Mc)/2 exactly.  Every nonzero sample must be a
+    normal float: a grid step alpha_max/(n_steps//2) below the smallest one
+    is rejected.
     """
     if not (0.0 < alpha_max < math.pi / 2.0):
         raise ValueError(f"alpha_max must lie in (0, pi/2), got {alpha_max}")
@@ -113,6 +123,11 @@ def torque_curve(ring: WireRing, alpha_max: float, n_steps: int = 21) -> TorqueC
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     n = n_steps if n_steps % 2 == 1 else n_steps + 1
     half = (n - 1) // 2
+    if alpha_max / half < sys.float_info.min:
+        raise ValueError(
+            f"the smallest twist angle alpha_max/{half} must be at least {sys.float_info.min}, "
+            f"got {alpha_max / half}"
+        )
     # the nodes of numpy.linspace(0, alpha_max, half + 1), bit for bit
     positive = [i * (alpha_max / half) for i in range(half)] + [alpha_max]
     alphas = tuple(-a for a in reversed(positive[1:])) + tuple(positive)

@@ -276,18 +276,69 @@ class TestOracleCheckCommand:
         assert err.startswith("error: --threshold ") and err.count("\n") == 1
 
 
-class TestOutOfMemory:
-    def test_memory_error_exit_2(self, capsys, monkeypatch):
-        """A grid too large to allocate ends with exit 2 and one line, not a traceback."""
+TINY_ALPHAS = ["1e-12", "1e-17", "1e-160", "1e-300"]
+FORMATS = ["text", "json", "csv"]
 
-        def refuse(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
-        monkeypatch.setattr("wiretwist.cli.oracle_torque", refuse)
-        code, out, err = run_cli(capsys, ["oracle-check", "--grid", "1000000"])
+def _results(out: str, fmt: str) -> dict:
+    """The results of an oracle-check report, parsed from any of its formats."""
+    if fmt == "json":
+        return json.loads(out)["results"]
+    if fmt == "csv":
+        keys, values = out.splitlines()
+        return dict(zip(keys.split(","), values.split(",")))
+    line = next(ln for ln in out.splitlines() if "relative deviation" in ln)
+    return {"rel_deviation": line.split("=")[1].split()[0], "passed": "PASS" in out}
+
+
+class TestTinyAngles:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("alpha", TINY_ALPHAS)
+    def test_oracle_check_passes(self, capsys, alpha, fmt):
+        """The grid error of the 400^2 oracle on the uncut ring, whatever the angle."""
+        code, out, err = run_cli(capsys, ["oracle-check", "--alpha", alpha, "--format", fmt])
+        assert code == 0 and err == ""
+        results = _results(out, fmt)
+        assert results["passed"] in (True, "True")
+        assert float(results["rel_deviation"]) == pytest.approx(3.12516513e-06, rel=1e-8)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("alpha", [*TINY_ALPHAS, "1e-170"])
+    def test_torque_curve_secant_is_origin_stiffness(self, capsys, alpha, fmt):
+        code, out, err = run_cli(capsys, ["torque-curve", "--alpha-max", alpha, "--n-steps", "3", "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            results = json.loads(out)["results"]
+            stiffnesses = [results[f"K_{k}_Nmm_per_rad"] for k in ("origin", "secant_pos", "secant_neg")]
+            assert stiffnesses == [6602.68217121] * 3
+        else:
+            summary = err if fmt == "csv" else out
+            assert "K_origin=6602.68217121 K_secant_pos=6602.68217121 K_secant_neg=6602.68217121" in summary
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", [["oracle-check", "--alpha"], ["torque-curve", "--alpha-max"]])
+    def test_subnormal_angle_exit_2(self, capsys, command, fmt):
+        code, out, err = run_cli(capsys, [*command, "5e-324", "--format", fmt])
         assert code == 2
         assert out == ""
-        assert err == "error: out of memory: Unable to allocate 7.45 TiB for an array\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestGridBound:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("grid", ["4097", "100000"])
+    def test_grid_above_bound_exit_2(self, capsys, monkeypatch, grid, fmt):
+        """Rejected before any torque is computed, with one line."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a torque for a grid above the bound")
+
+        monkeypatch.setattr("wiretwist.cli.torque_full", refuse)
+        monkeypatch.setattr("wiretwist.cli.oracle_torque", refuse)
+        code, out, err = run_cli(capsys, ["oracle-check", "--grid", grid, "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid must be at most 4096x4096, got {grid}x{grid}\n"
 
 
 class TestColdStart:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +149,46 @@ class TestTorqueCurve:
         monkeypatch.setattr(torque_module, "_moments", counting)
         torque_curve(real_ring, 0.1, n_steps=n_steps)
         assert calls == [real_ring]
+
+
+TINY_ALPHAS = [1e-12, 1e-17, 1e-160, 1e-300]
+
+
+class TestTinyAngles:
+    """4 sin^2(alpha/2)/alpha is formed as a product that stays normal for every normal alpha."""
+
+    @pytest.mark.parametrize("alpha", TINY_ALPHAS)
+    @pytest.mark.parametrize("kind", ["circular", "real"])
+    def test_torque_full_slope_is_origin_stiffness(self, alpha, kind, circular_ring, real_ring):
+        ring = circular_ring if kind == "circular" else real_ring
+        k0 = torque_curve(ring, 0.1, n_steps=3).K_origin
+        assert torque_full(ring, alpha) / alpha == pytest.approx(k0, rel=1e-11)
+        assert torque_full(ring, -alpha) / -alpha == pytest.approx(k0, rel=1e-11)
+
+    @pytest.mark.parametrize("alpha", TINY_ALPHAS)
+    def test_curve_secants_are_origin_stiffness(self, alpha, real_ring):
+        curve = torque_curve(real_ring, alpha, n_steps=5)
+        assert curve.K_secant_pos == pytest.approx(curve.K_origin, rel=1e-11)
+        assert curve.K_secant_neg == pytest.approx(curve.K_origin, rel=1e-11)
+        assert all(t != 0.0 for a, t in curve.samples if a != 0.0)
+
+    def test_smallest_normal_angle(self, circular_ring):
+        k0 = torque_curve(circular_ring, 0.1, n_steps=3).K_origin
+        tiny = sys.float_info.min
+        assert torque_full(circular_ring, tiny) / tiny == pytest.approx(k0, rel=1e-12)
+        assert torque_curve(circular_ring, 2.0 * tiny, n_steps=3).K_secant_pos == pytest.approx(k0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_angle_rejected(self, alpha, circular_ring):
+        with pytest.raises(ValueError, match="2.2250738585072014e-308"):
+            torque_full(circular_ring, alpha)
+        with pytest.raises(ValueError, match="2.2250738585072014e-308"):
+            torque_curve(circular_ring, abs(alpha), n_steps=3)
+
+    def test_subnormal_step_rejected(self, circular_ring):
+        """alpha_max is normal but alpha_max/50 is not."""
+        with pytest.raises(ValueError, match="alpha_max/50"):
+            torque_curve(circular_ring, 3e-308, n_steps=101)
 
 
 CURVE_SECTIONS = {
