@@ -14,7 +14,7 @@ JSON are rendered at 12 significant digits; identical inputs give
 byte-identical outputs.  No command takes quadrature flags: every
 integral uses a fixed rule.
 
-Exit codes: 0 ok, 2 invalid input, 4 check failure.
+Exit codes: 0 ok, 2 invalid input (or out of memory), 4 check failure.
 """
 
 from __future__ import annotations
@@ -464,6 +464,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -341,6 +341,20 @@ class TestGridBound:
         assert err == f"error: grid must be at most 4096x4096, got {grid}x{grid}\n"
 
 
+class TestOutOfMemory:
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        """A failed allocation ends with exit 2 and one line, not a traceback."""
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr("wiretwist.cli.oracle_torque", refuse)
+        code, out, err = run_cli(capsys, ["oracle-check", "--grid", "4096"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.45 TiB for an array\n"
+
+
 class TestColdStart:
     """Only the oracle imports numpy."""
 
